@@ -1,89 +1,26 @@
-"""Hot inner loops for the exact enumeration, jitted with a numpy fallback.
+"""Hot inner loop for the exact enumeration.
 
 The triple sum over admissible dimer count vectors is the only O(N^3) loop
-in the package; everything else is small.  Both implementations accumulate
-in a streaming log-sum-exp with a running maximum and a fixed iteration
-order, so results are deterministic run to run.
-
-Backend selection: set ``DIMERFIELD_BACKEND=numpy`` to force the pure-numpy
-path, ``DIMERFIELD_BACKEND=numba`` to require the jitted one.  Unset, numba
-is used when importable.  ``benchmarks/bench_partition.py`` times the two
-against each other.
+in the package; everything else is small.  The kernel is vectorized numpy,
+one (D_B, D_AB) slab per D_A value, accumulated in a streaming log-sum-exp
+with a running maximum and a fixed iteration order, so results are
+deterministic run to run.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 LOG2 = float(np.log(2.0))
 
 
-def _partition_sums_py(n_a, n_b, log_n, inv_n, lgf, h, j):
-    """Sum over admissible (D_A, D_B, D_AB); scalar triple loop.
+def partition_sums(n_a, n_b, log_n, inv_n, lgf, h, j):
+    """Sum over admissible (D_A, D_B, D_AB), vectorized per D_A slice.
 
     Returns (log_z, <D_A>, <D_B>, <D_AB>, <D_AB/|D|>) under the Gibbs
     weights phi * N^-|D| * exp(-H); the mixed fraction uses the convention
     D_AB/|D| = 0 on the empty configuration.
     """
-    m = -np.inf
-    s0 = 0.0
-    s_a = 0.0
-    s_b = 0.0
-    s_ab = 0.0
-    s_mix = 0.0
-    base = lgf[n_a] + lgf[n_b]
-    h_a = h[0]
-    h_b = h[1]
-    h_ab = h[2]
-    for d_a in range(n_a // 2 + 1):
-        for d_b in range(n_b // 2 + 1):
-            cap = min(n_a - 2 * d_a, n_b - 2 * d_b)
-            for d_ab in range(cap + 1):
-                m_a = n_a - 2 * d_a - d_ab
-                m_b = n_b - 2 * d_b - d_ab
-                quad = (
-                    j[0, 0] * d_a * d_a
-                    + j[1, 1] * d_b * d_b
-                    + j[2, 2] * d_ab * d_ab
-                    + 2.0 * (j[0, 1] * d_a * d_b + j[0, 2] * d_a * d_ab + j[1, 2] * d_b * d_ab)
-                )
-                t = (
-                    base
-                    - lgf[m_a]
-                    - lgf[m_b]
-                    - lgf[d_a]
-                    - lgf[d_b]
-                    - lgf[d_ab]
-                    - (d_a + d_b) * LOG2
-                    - (d_a + d_b + d_ab) * log_n
-                    + h_a * d_a
-                    + h_b * d_b
-                    + h_ab * d_ab
-                    + 0.5 * inv_n * quad
-                )
-                if t > m:
-                    r = np.exp(m - t)
-                    s0 *= r
-                    s_a *= r
-                    s_b *= r
-                    s_ab *= r
-                    s_mix *= r
-                    m = t
-                e = np.exp(t - m)
-                s0 += e
-                s_a += e * d_a
-                s_b += e * d_b
-                s_ab += e * d_ab
-                tot = d_a + d_b + d_ab
-                if tot > 0:
-                    s_mix += e * (d_ab / tot)
-    return m + np.log(s0), s_a / s0, s_b / s0, s_ab / s0, s_mix / s0
-
-
-def _partition_sums_numpy(n_a, n_b, log_n, inv_n, lgf, h, j):
-    """Same sums as :func:`_partition_sums_py`, vectorized per D_A slice."""
     h_a, h_b, h_ab = float(h[0]), float(h[1]), float(h[2])
     db = np.arange(n_b // 2 + 1)
     db_col = db[:, None]
@@ -140,45 +77,6 @@ def _partition_sums_numpy(n_a, n_b, log_n, inv_n, lgf, h, j):
     return m + np.log(s0), s_a / s0, s_b / s0, s_ab / s0, s_mix / s0
 
 
-def _select_backend() -> str:
-    env = os.environ.get("DIMERFIELD_BACKEND", "").strip().lower()
-    if env not in ("", "numba", "numpy"):
-        raise ValueError(
-            f"DIMERFIELD_BACKEND must be 'numba' or 'numpy', got {env!r}"
-        )
-    if env == "numpy":
-        return "numpy"
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        if env == "numba":
-            raise
-        return "numpy"
-    return "numba"
-
-
-_BACKEND = _select_backend()
-_NUMBA_KERNEL = None
-
-
-def get_numba_kernel():
-    """Compile (once) and return the jitted kernel, or None without numba."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        try:
-            from numba import njit
-        except ImportError:
-            return None
-        _NUMBA_KERNEL = njit(cache=True)(_partition_sums_py)
-    return _NUMBA_KERNEL
-
-
-if _BACKEND == "numba":
-    partition_sums = get_numba_kernel()
-else:
-    partition_sums = _partition_sums_numpy
-
-
 def active_backend() -> str:
-    """Name of the enumeration backend selected at import time."""
-    return _BACKEND
+    """Name of the enumeration backend, recorded as provenance."""
+    return "numpy"

@@ -24,8 +24,6 @@ from . import model
 from . import variational as vari
 from .params import ModelParams, ReducedParams
 
-H_C_LIMIT = float(-2.0 - np.log((np.sqrt(5.0) - 1.0) / 2.0))
-
 _UNITS = {
     "n": "sites",
     "n1": "sites",
@@ -103,8 +101,6 @@ class RunConfig:
     cap: int = model.DEFAULT_ENUMERATION_CAP
     grid_resolution: int = 64
     seed: int = 0
-    determinism: bool = True
-    threads: int = 1
     output: str | None = None
     format: str = "json"
 
@@ -174,9 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", type=str, default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--determinism", action=argparse.BooleanOptionalAction, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="reserved; evaluation is serial and deterministic")
         p.add_argument("--cap", type=int, default=None, help="enumeration size cap")
         p.add_argument("--grid-res", dest="grid_resolution", type=int, default=None)
         p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None)
@@ -233,8 +226,6 @@ _CONVERTERS = {
     "cap": int,
     "grid_resolution": int,
     "seed": int,
-    "determinism": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "threads": int,
     "output": str,
     "format": str,
 }
@@ -279,8 +270,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.j[2][2] = float(j_abab)
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.threads < 1:
-        raise ValueError("threads must be >= 1")
     return cfg
 
 
@@ -358,7 +347,7 @@ def _run_critical(cfg: RunConfig):
             "res_f0": r0,
             "res_d_c": cp.d_c - alpha / 2.0,
             "res_j_c": cp.j_c - 4.0 / alpha,
-            "res_h_c": cp.h_c - H_C_LIMIT,
+            "res_h_c": cp.h_c - crit.H_C_LIMIT,
         }
     ]
     summary = {"d_c": cp.d_c, "h_c": cp.h_c, "j_c": cp.j_c}

@@ -37,6 +37,10 @@ from .params import (
 )
 from .variational import _entropy_arrays
 
+#: alpha -> 0 limit of the critical field h_c: d_c -> alpha/2 and
+#: J_c -> 4/alpha, so h_c -> -2 - log y(0) with y(0) = (sqrt 5 - 1)/2.
+H_C_LIMIT = float(-2.0 - np.log((np.sqrt(5.0) - 1.0) / 2.0))
+
 
 def x_alpha(d, alpha):
     """Positive root of x^2 + x = alpha - d; the A-monomer density."""

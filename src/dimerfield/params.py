@@ -178,22 +178,6 @@ class DimerDensities:
 
 
 @dataclass(frozen=True)
-class EffectiveWeights:
-    """Per-type dimer activities w = exp(field) entering the fixed point."""
-
-    w_a: float
-    w_b: float
-    w_ab: float
-
-    def __post_init__(self):
-        for name in ("w_a", "w_b", "w_ab"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
 class ReducedParams:
     """Single-coupling restriction: only h_AB and J_AB^AB are nonzero."""
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .params import DimerDensities, EffectiveWeights, ModelParams
+from .params import DimerDensities, ModelParams
 
 _REGION_TOL = 1e-12
 _TINY = 1e-300
@@ -107,15 +107,6 @@ def grad_psi(d: DimerDensities, params: ModelParams) -> np.ndarray:
         ]
     )
     return grad_s + params.h + params.j_sym @ d.vector
-
-
-def effective_weights(params: ModelParams, d: DimerDensities) -> EffectiveWeights:
-    """Activities w = exp(h + J_sym d) entering the fixed-point system."""
-    field = params.h + params.j_sym @ d.vector
-    w = np.exp(field)
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"effective field {field} overflows exp()")
-    return EffectiveWeights(*w)
 
 
 def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
@@ -265,8 +256,11 @@ def fixed_point_solve(
 
 def fixed_point_residual(params: ModelParams, d: DimerDensities) -> float:
     """max_i |d_i - g_i(h + J d)|: how far d is from solving the system."""
-    w = effective_weights(params, d)
-    g = _g_of_weights(w.w_a, w.w_b, w.w_ab, params.alpha)
+    field = params.h + params.j_sym @ d.vector
+    w = np.exp(field)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"effective field {field} overflows exp()")
+    g = _g_of_weights(*w, params.alpha)
     return float(np.abs(d.vector - g).max())
 
 

@@ -142,6 +142,10 @@ class TestExitCodes:
     def test_usage_error(self):
         assert run_cli(["not-a-command"])[0] == 2
 
+    def test_threads_flag_rejected(self):
+        # evaluation is serial, so there is no thread count to set
+        assert run_cli(["critical", "--alpha", "0.1", "--threads", "2"])[0] == 2
+
     def test_validation_error(self):
         code, _ = run_cli(["gauss", "--alpha", "0.5", "--h", "0,0,0"])
         assert code == 2

@@ -24,9 +24,8 @@ from dimerfield import (
     x_alpha,
     y_alpha,
 )
+from dimerfield.critical import H_C_LIMIT
 from dimerfield.params import DimerDensities
-
-H_C_LIMIT = -2.0 - np.log((np.sqrt(5.0) - 1.0) / 2.0)
 
 
 class TestMonomerRoots:

@@ -25,12 +25,12 @@ from dimerfield import (
 )
 
 
-def matching_oracle_log_z(n, params):
-    """Brute-force log Z over labelled configurations (tiny N only).
+def matching_oracle(n, params):
+    """Brute-force (log Z, <D>/N, <D_AB/|D|>) over labelled configurations.
 
     Builds every matching of the complete graph on N labelled sites and
     accumulates N^-|D| exp(-H) directly; completely independent of the
-    count-class machinery.
+    count-class machinery.  Tiny N only.
     """
     sizes = split_sizes(n, params.alpha)
     sites = list(range(n))
@@ -52,13 +52,19 @@ def matching_oracle_log_z(n, params):
     matchings = []
     extend(matchings, set(), [], 0)
     total = 0.0
+    mean = np.zeros(3)
+    mix = 0.0
     for m in matchings:
         d_a = sum(1 for i, j in m if is_a[i] and is_a[j])
         d_b = sum(1 for i, j in m if not is_a[i] and not is_a[j])
         d_ab = len(m) - d_a - d_b
         counts = DimerCounts(d_a, d_b, d_ab)
-        total += n ** (-len(m)) * np.exp(-hamiltonian(counts, n, params))
-    return np.log(total)
+        w = n ** (-len(m)) * np.exp(-hamiltonian(counts, n, params))
+        total += w
+        mean += w * counts.vector
+        if m:
+            mix += w * d_ab / len(m)
+    return np.log(total), mean / (n * total), mix / total
 
 
 class TestSplitSizes:
@@ -142,9 +148,10 @@ class TestPartitionFunction:
                 h=rng.uniform(-1, 1, 3),
                 J=rng.uniform(-1, 1, (3, 3)),
             )
-            assert log_partition_exact(n, params) == pytest.approx(
-                matching_oracle_log_z(n, params), abs=1e-11
-            )
+            log_z, dens, mix = matching_oracle(n, params)
+            assert log_partition_exact(n, params) == pytest.approx(log_z, abs=1e-11)
+            assert gibbs_expected_densities(n, params) == pytest.approx(dens, abs=1e-12)
+            assert d_mix_finite(n, params) == pytest.approx(mix, abs=1e-12)
 
     def test_z_at_least_one(self):
         rng = np.random.default_rng(11)
