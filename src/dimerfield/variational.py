@@ -6,15 +6,25 @@ The limiting pressure is the maximum over the hard-core density region of
 
 and interior maximizers coincide with solutions of the self-consistency
 system d_A = (w_A/2) m_A^2, d_B = (w_B/2) m_B^2, d_AB = w_AB m_A m_B with
-activities w = exp(h + J d).  This module evaluates psi and its gradient,
-solves the decoupled (J = 0) system in closed-ish form, iterates the damped
-fixed point for general J, and maximizes psi by a grid scan refined through
-the fixed-point solver.
+activities w = exp(h + J d).  This module evaluates psi, its gradient and
+its closed-form Hessian, solves the decoupled (J = 0) system in closed-ish
+form, iterates the damped fixed point for general J, and maximizes psi.
+
+The maximizer scans a grid over the region for starts, moves each start
+inside by one step of the self-consistency map and refines it by
+safeguarded Newton on grad psi = 0: saddle-free steps through the
+eigen-decomposed 3x3 Hessian (scaled to unit entropy diagonal, so densities
+many decades apart stay resolved), halved until the iterate stays inside
+the region and psi does not drop.  Stationary points are classified by their
+Hessian eigenvalues, and maxima are told apart by basin (psi dips along the
+segment between two distinct ones) rather than by value ties, which keeps
+the answer right exactly at the critical point, where psi is flat to fourth
+order.
 
 Note on asymmetric couplings: the energy is a quadratic form, so only the
-symmetric part of J matters; the gradient and the fixed-point activities
-use (J + J^T)/2 throughout, which keeps "stationary point" and "fixed
-point" exactly equivalent for arbitrary input J.
+symmetric part of J matters; the gradient, the Hessian and the fixed-point
+activities use (J + J^T)/2 throughout, which keeps "stationary point" and
+"fixed point" exactly equivalent for arbitrary input J.
 """
 
 from __future__ import annotations
@@ -93,20 +103,48 @@ def psi(d: DimerDensities, params: ModelParams) -> float:
 def grad_psi(d: DimerDensities, params: ModelParams) -> np.ndarray:
     """Gradient of psi; defined on the interior only (it diverges at the
     boundary like log of the vanishing coordinate)."""
-    m_a, m_b = d.monomers(params.alpha)
-    if min(d.d_a, d.d_b, d.d_ab, m_a, m_b) <= 0.0:
+    v = d.vector
+    if not _is_interior(v, params.alpha):
+        m_a, m_b = d.monomers(params.alpha)
         raise ValueError(
             f"grad_psi needs an interior point (all densities and monomer "
             f"densities positive); got {d} with monomers ({m_a:.3e}, {m_b:.3e})"
         )
-    grad_s = np.array(
+    return _grad(v, params.alpha, params.h, params.j_sym)
+
+
+def _hess_psi(d: DimerDensities, params: ModelParams) -> np.ndarray:
+    """Hessian of psi at an interior point: entropy part plus J_sym."""
+    return _entropy_hessian(d.vector, params.alpha) + params.j_sym
+
+
+def _monomers(v, alpha):
+    return alpha - 2.0 * v[0] - v[2], 1.0 - alpha - 2.0 * v[1] - v[2]
+
+
+def _is_interior(v, alpha) -> bool:
+    m_a, m_b = _monomers(v, alpha)
+    return min(v[0], v[1], v[2], m_a, m_b) > 0.0
+
+
+def _grad(v, alpha, h, j_sym) -> np.ndarray:
+    m_a, m_b = _monomers(v, alpha)
+    grad_s = np.log([m_a * m_a / (2.0 * v[0]), m_b * m_b / (2.0 * v[1]), m_a * m_b / v[2]])
+    return grad_s + h + j_sym @ v
+
+
+def _entropy_hessian(v, alpha) -> np.ndarray:
+    """Hessian of s: each monomer density enters through -log m, so the
+    d_A-d_B entry vanishes and d_AB couples to both monomer terms."""
+    m_a, m_b = _monomers(v, alpha)
+    ia, ib = 1.0 / m_a, 1.0 / m_b
+    return np.array(
         [
-            np.log(m_a * m_a / (2.0 * d.d_a)),
-            np.log(m_b * m_b / (2.0 * d.d_b)),
-            np.log(m_a * m_b / d.d_ab),
+            [-4.0 * ia - 1.0 / v[0], 0.0, -2.0 * ia],
+            [0.0, -4.0 * ib - 1.0 / v[1], -2.0 * ib],
+            [-2.0 * ia, -2.0 * ib, -ia - ib - 1.0 / v[2]],
         ]
     )
-    return grad_s + params.h + params.j_sym @ d.vector
 
 
 def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
@@ -190,38 +228,6 @@ def solve_zero_coupling(h, alpha: float) -> DimerDensities:
     return DimerDensities(0.5 * w[0] * m_a * m_a, 0.5 * w[1] * m_b * m_b, w[2] * m_a * m_b)
 
 
-def _fixed_point_iterate(
-    params: ModelParams,
-    d: np.ndarray,
-    damping: float,
-    tol: float,
-    rel_tol: float,
-    max_iter: int,
-):
-    """Damped iteration core; returns (point, residual, converged)."""
-    alpha = params.alpha
-    j_sym = params.j_sym
-    lam = damping
-    prev_resid = np.inf
-    resid = np.inf
-    for _ in range(max_iter):
-        field = params.h + j_sym @ d
-        w = np.exp(field)
-        if not np.all(np.isfinite(w)):
-            raise RuntimeError(f"effective field {field} overflows exp()")
-        g = _g_of_weights(w[0], w[1], w[2], alpha)
-        step = g - d
-        resid = np.abs(step).max()
-        rel = (np.abs(step) / np.maximum(np.abs(d), _TINY)).max()
-        if resid < tol and rel < rel_tol:
-            return d, resid, True
-        if resid > prev_resid:
-            lam = max(0.5 * lam, 1.0 / 1024.0)
-        prev_resid = resid
-        d = d + lam * step
-    return d, resid, False
-
-
 def fixed_point_solve(
     params: ModelParams,
     d0: DimerDensities | None = None,
@@ -245,13 +251,32 @@ def fixed_point_solve(
     else:
         _require_in_region(d0, params.alpha)
         d = d0.vector.copy()
-    d, resid, converged = _fixed_point_iterate(params, d, damping, tol, rel_tol, max_iter)
-    if not converged:
-        raise RuntimeError(
-            f"fixed point iteration did not converge within {max_iter} steps "
-            f"(residual {resid:.3e}); retry with smaller damping"
-        )
-    return DimerDensities(*d)
+    lam = damping
+    prev_resid = np.inf
+    resid = np.inf
+    for _ in range(max_iter):
+        step = _map(params, d) - d
+        resid = np.abs(step).max()
+        rel = (np.abs(step) / np.maximum(np.abs(d), _TINY)).max()
+        if resid < tol and rel < rel_tol:
+            return DimerDensities(*d)
+        if resid > prev_resid:
+            lam = max(0.5 * lam, 1.0 / 1024.0)
+        prev_resid = resid
+        d = d + lam * step
+    raise RuntimeError(
+        f"fixed point iteration did not converge within {max_iter} steps "
+        f"(residual {resid:.3e}); retry with smaller damping"
+    )
+
+
+def _map(params: ModelParams, d: np.ndarray) -> np.ndarray:
+    """One step of the self-consistency map d -> g(exp(h + J_sym d))."""
+    field = params.h + params.j_sym @ d
+    w = np.exp(field)
+    if not np.all(np.isfinite(w)):
+        raise RuntimeError(f"effective field {field} overflows exp()")
+    return _g_of_weights(w[0], w[1], w[2], params.alpha)
 
 
 def fixed_point_residual(params: ModelParams, d: DimerDensities) -> float:
@@ -264,11 +289,23 @@ def fixed_point_residual(params: ModelParams, d: DimerDensities) -> float:
     return float(np.abs(d.vector - g).max())
 
 
+def _psi_arrays(d_a, d_b, d_ab, params: ModelParams):
+    """Vectorized psi = s + h.d + (1/2) d.J_sym.d over broadcastable arrays."""
+    h = params.h
+    js = params.j_sym
+    quad = (
+        js[0, 0] * d_a * d_a
+        + js[1, 1] * d_b * d_b
+        + js[2, 2] * d_ab * d_ab
+        + 2.0 * (js[0, 1] * d_a * d_b + js[0, 2] * d_a * d_ab + js[1, 2] * d_b * d_ab)
+    )
+    lin = h[0] * d_a + h[1] * d_b + h[2] * d_ab
+    return _entropy_arrays(d_a, d_b, d_ab, params.alpha) + lin + 0.5 * quad
+
+
 def _psi_grid(params: ModelParams, res: int):
     """psi on a grid filling the hard-core region (boundary included)."""
     alpha = params.alpha
-    h = params.h
-    js = params.j_sym
     dab_vals = np.linspace(0.0, min(alpha, 1.0 - alpha), res)
     points = np.empty((res * res * res, 3))
     values = np.empty(res * res * res)
@@ -276,21 +313,100 @@ def _psi_grid(params: ModelParams, res: int):
     for k, dab in enumerate(dab_vals):
         da = np.linspace(0.0, 0.5 * (alpha - dab), res)[:, None]
         db = np.linspace(0.0, 0.5 * (1.0 - alpha - dab), res)[None, :]
-        s = _entropy_arrays(da, db, dab, alpha)
-        lin = h[0] * da + h[1] * db + h[2] * dab
-        quad = (
-            js[0, 0] * da * da
-            + js[1, 1] * db * db
-            + js[2, 2] * dab * dab
-            + 2.0 * (js[0, 1] * da * db + js[0, 2] * da * dab + js[1, 2] * db * dab)
-        )
-        vals = s + lin + 0.5 * quad
         sl = slice(k * block, (k + 1) * block)
         points[sl, 0] = np.broadcast_to(da, (res, res)).ravel()
         points[sl, 1] = np.broadcast_to(db, (res, res)).ravel()
         points[sl, 2] = dab
-        values[sl] = vals.ravel()
+        values[sl] = _psi_arrays(da, db, dab, params).ravel()
     return points, values
+
+
+#: Newton iterations allowed per start.  A non-degenerate maximum converges
+#: quadratically in a handful; exactly at the critical point the error only
+#: shrinks by 2/3 per step, which still fits well inside this cap.
+_NEWTON_MAX_ITER = 60
+#: Gradient tolerance (max norm).  Each component is the log-ratio of the
+#: two sides of one dimer equation, e.g. log(w_A m_A^2 / (2 d_A)), so the
+#: self-consistency residual is of the same size; rounding sits near 1e-15.
+#: Exactly at the critical point it leaves the maximizer ~2e-5 d_c off.
+_GRAD_TOL = 1e-10
+#: Allowed psi drop in the line search and along a basin segment, relative
+#: to the size of psi: rounding, not a real decrease.
+_PSI_SLACK = 1e-14
+#: Points (ends included) at which a segment between two maxima is probed
+#: for a dip.
+_SEGMENT_T = np.linspace(0.0, 1.0, 9)
+
+
+def _scaled_eigh(v, alpha, j_sym):
+    """Eigen-decomposition of the Hessian at v, scaled to unit entropy diagonal.
+
+    A density near zero puts ~1/d on the Hessian diagonal; the scaling (a
+    congruence, so the signs of the eigenvalues are kept) stops it from
+    swamping the other directions.  A direction whose scaled coupling to
+    the others is below rounding is split off exactly: eigh would mix it
+    with them at the 1e-16 level, a step far larger than a density of,
+    say, 1e-100 (a dimer type switched off by a field of -250).
+    Returns (scale, eigenvalues, eigenvectors).
+    """
+    hess_s = _entropy_hessian(v, alpha)
+    scale = 1.0 / np.sqrt(-np.diag(hess_s))
+    hess = scale[:, None] * (hess_s + j_sym) * scale
+    coupled = np.abs(hess - np.diag(np.diag(hess))) > np.finfo(float).eps
+    lam = np.diag(hess).copy()
+    vecs = np.eye(3)
+    rest = np.flatnonzero(coupled.any(axis=1))
+    if rest.size:
+        lam[rest], vecs[np.ix_(rest, rest)] = np.linalg.eigh(hess[np.ix_(rest, rest)])
+    return scale, lam, vecs
+
+
+def _newton_ascent(params: ModelParams, v: np.ndarray):
+    """Safeguarded Newton on grad psi = 0 from the interior point v.
+
+    Steps are saddle-free (the Hessian's eigenvalues enter by modulus, so
+    every step ascends) and halved until the iterate stays strictly inside
+    the region and psi does not drop.  Returns (point, psi, eigenvalues of
+    the scaled Hessian); raises RuntimeError when the gradient tolerance is
+    not met within _NEWTON_MAX_ITER steps.
+    """
+    alpha, h, js = params.alpha, params.h, params.j_sym
+    value = float(_psi_arrays(*v, params))
+    g = _grad(v, alpha, h, js)
+    for _ in range(_NEWTON_MAX_ITER):
+        scale, lam, vecs = _scaled_eigh(v, alpha, js)
+        if np.abs(g).max() <= _GRAD_TOL:
+            return v, value, lam
+        step = scale * (vecs @ ((vecs.T @ (scale * g)) / np.abs(lam)))
+        slack = _PSI_SLACK * (1.0 + abs(value))
+        t = 1.0
+        while True:
+            trial = v + t * step
+            if _is_interior(trial, alpha):
+                trial_value = float(_psi_arrays(*trial, params))
+                if trial_value >= value - slack:
+                    break
+            t *= 0.5
+            if t < 1e-12:
+                raise RuntimeError(
+                    f"maximize_psi: no ascent step from {v} (|grad psi| = "
+                    f"{np.abs(g).max():.3e}) for {params}"
+                )
+        v, value = trial, trial_value
+        g = _grad(v, alpha, h, js)
+    raise RuntimeError(
+        f"maximize_psi: Newton refinement did not meet the gradient tolerance "
+        f"within {_NEWTON_MAX_ITER} steps (|grad psi| = {np.abs(g).max():.3e} at "
+        f"{v}) for {params}"
+    )
+
+
+def _same_basin(params: ModelParams, a, b) -> bool:
+    """True when psi shows no dip along the segment from a to b."""
+    seg = a + _SEGMENT_T[:, None] * (b - a)
+    vals = _psi_arrays(seg[:, 0], seg[:, 1], seg[:, 2], params)
+    low = min(vals[0], vals[-1])
+    return bool(vals[1:-1].min() >= low - _PSI_SLACK * (1.0 + abs(low)))
 
 
 def maximize_psi(
@@ -298,73 +414,74 @@ def maximize_psi(
     grid_resolution: int = 64,
     n_starts: int = 12,
     tie_tol: float = 1e-9,
-    dedupe_tol: float = 1e-6,
 ) -> list[tuple[DimerDensities, float]]:
     """All global maximizers of psi over the hard-core region.
 
-    A coarse grid (boundary faces included) locates candidate basins; each
-    candidate start is refined by the damped fixed-point iteration, which
-    always lands strictly inside the region, so the diverging boundary
-    gradient never has to be evaluated.  Maximizers tied with the best
-    value within ``tie_tol`` are all returned (the coexistence line
-    genuinely has ties), deduplicated at distance ``dedupe_tol`` and sorted
-    lexicographically.
+    A coarse grid (boundary faces included) locates candidate basins, and
+    the best points, thinned so that each start sits in its own patch of
+    the grid, become up to ``n_starts`` starts.  One step of the
+    self-consistency map moves each start strictly inside the region; a
+    safeguarded Newton iteration with the closed-form Hessian then refines
+    it to a stationary point, and points whose Hessian has a positive
+    eigenvalue are dropped.  The maxima within ``tie_tol`` of the best value
+    are returned (the coexistence line genuinely has ties), one per basin:
+    two candidates count as one maximizer when psi shows no dip along the
+    segment between them, which also holds exactly at the critical point,
+    where psi is flat to fourth order and the converged points scatter by
+    ~eps^(1/3) around d_c.  Sorted lexicographically.
+
+    Raises RuntimeError when a start does not reach the gradient tolerance
+    within the iteration cap, or when the activities exp(h + J d) overflow
+    or underflow, or leave a density too small for 1/d to be finite (fields
+    beyond about +-700).
     """
     if grid_resolution < 4:
         raise ValueError("grid_resolution must be at least 4")
     points, values = _psi_grid(params, grid_resolution)
     alpha = params.alpha
-    order = np.argsort(values)[::-1][: 40 * n_starts]
+    k = min(40 * n_starts, values.size)
+    top = np.argpartition(values, -k)[-k:]
+    order = top[np.argsort(values[top])[::-1]]
     # candidate thinning works per axis in units of that axis' extent, so
     # separated basins survive even when alpha (hence the region) is tiny
     scale = np.array(
         [0.5 * alpha, 0.5 * (1.0 - alpha), min(alpha, 1.0 - alpha)]
     )
     thin_radius = 3.0 / (grid_resolution - 1)
-    starts: list[np.ndarray] = []
-    for idx in order:
-        p = points[idx]
-        if all(np.abs((p - s) / scale).max() > thin_radius for s in starts):
-            starts.append(p)
+    starts = points[order[:1]]
+    for idx in order[1:]:
         if len(starts) >= n_starts:
             break
+        p = points[idx]
+        if np.abs((p - starts) / scale).max(axis=1).min() > thin_radius:
+            starts = np.vstack([starts, p])
 
-    solutions: list[tuple[DimerDensities, float]] = []
+    candidates = []
     for p in starts:
-        # a non-converged iterate is still a fine value candidate: the psi
-        # error is quadratic in the residual, while marginal (critical-point)
-        # maps converge only polynomially and would burn the whole budget
-        vec, resid, _ = _fixed_point_iterate(
-            params, p.copy(), damping=0.5, tol=1e-12, rel_tol=1e-10, max_iter=10_000
-        )
-        if not np.all(np.isfinite(vec)):
-            continue
-        sol = DimerDensities(*vec)
-        solutions.append((sol, psi(sol, params)))
+        v = _map(params, p)
+        if not _is_interior(v, alpha):
+            raise RuntimeError(
+                f"maximize_psi: the map step from {p} left the interior ({v}); "
+                f"activities exp(h + J d) underflow for {params}"
+            )
+        v, value, lam = _newton_ascent(params, v)
+        # a clearly positive eigenvalue marks a saddle; at the critical point
+        # the flat direction's eigenvalue sits near zero and must still count
+        if lam.max() <= np.sqrt(np.finfo(float).eps) * np.abs(lam).max():
+            candidates.append((v, value))
+    if not candidates:
+        raise RuntimeError(f"maximize_psi: no start converged to a maximum for {params}")
 
-    grid_best = float(values[order[0]])
-    if not solutions:
-        # refinement failed everywhere (should not happen); fall back to the
-        # best grid point so a maximizer is always reported
-        best_point = DimerDensities(*points[order[0]])
-        return [(best_point, grid_best)]
-
-    best = max(v for _, v in solutions)
-    if grid_best > best + 1e-7:
-        # every refinement drifted below the raw scan: report the grid point
-        # rather than silently underestimating the maximum (the inward
-        # boundary derivative is +inf, so this cannot happen in exact math)
-        solutions.append((DimerDensities(*points[order[0]]), grid_best))
-        best = grid_best
-    keep: list[tuple[DimerDensities, float]] = []
-    for sol, val in sorted(solutions, key=lambda t: -t[1]):
-        if val < best - tie_tol:
+    best = max(value for _, value in candidates)
+    keep: list[tuple[np.ndarray, float]] = []
+    for v, value in sorted(candidates, key=lambda t: -t[1]):
+        if value < best - tie_tol:
             break
-        if any(np.abs(sol.vector - k.vector).max() <= dedupe_tol for k, _ in keep):
-            continue
-        keep.append((sol, val))
-    keep.sort(key=lambda t: (t[0].d_a, t[0].d_b, t[0].d_ab))
-    return keep
+        if not any(_same_basin(params, v, kept) for kept, _ in keep):
+            keep.append((v, value))
+    out = [(DimerDensities(*v), value) for v, value in keep]
+    out.sort(key=lambda t: (t[0].d_a, t[0].d_b, t[0].d_ab))
+    return out
 
 
 def pressure(params: ModelParams, grid_resolution: int = 64) -> float:

@@ -19,6 +19,8 @@ from dimerfield import (
     psi,
     solve_zero_coupling,
 )
+from dimerfield import variational
+from dimerfield.variational import _hess_psi
 
 GOLDEN_M = (np.sqrt(5.0) - 1.0) / 4.0
 SYMMETRIC_D = DimerDensities(GOLDEN_M**2 / 2, GOLDEN_M**2 / 2, GOLDEN_M**2)
@@ -159,6 +161,33 @@ class TestGradPsi:
             grad_psi(DimerDensities(0.0, 0.01, 0.01), ModelParams(alpha=0.5))
 
 
+class TestHessPsi:
+    def test_matches_finite_differences_of_gradient(self):
+        # random full J, asymmetric: only its symmetric part may enter
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            params = random_params(rng, j_scale=3.0)
+            d = random_interior(rng, params.alpha)
+            hess = _hess_psi(d, params)
+            step = 1e-6 * min(*d.vector, *d.monomers(params.alpha))
+            for i in range(3):
+                up = d.vector.copy()
+                dn = d.vector.copy()
+                up[i] += step
+                dn[i] -= step
+                fd = (
+                    grad_psi(DimerDensities(*up), params) - grad_psi(DimerDensities(*dn), params)
+                ) / (2 * step)
+                assert np.abs(fd - hess[:, i]).max() <= 1e-6 * np.abs(hess[:, i]).max()
+
+    def test_symmetric_with_zero_intra_cross_term(self):
+        params = ModelParams(alpha=0.4)
+        hess = _hess_psi(DimerDensities(0.02, 0.05, 0.1), params)
+        assert np.array_equal(hess, hess.T)
+        assert hess[0, 1] == 0.0
+        assert np.all(np.linalg.eigvalsh(hess) < 0.0)
+
+
 class TestZeroCoupling:
     def test_symmetric_closed_form(self):
         d = solve_zero_coupling([0.0, 0.0, 0.0], 0.5)
@@ -264,6 +293,43 @@ class TestMaximizePsi:
         assert len(results) == 2
         values = [v for _, v in results]
         assert abs(values[0] - values[1]) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-2, 0.1, 0.3, 0.45])
+    def test_one_maximizer_at_critical_point(self, alpha):
+        # psi is flat to fourth order at d_c: a value tie cannot tell one
+        # maximizer from several, only the basin test can
+        from dimerfield import critical_point, x_alpha, y_alpha
+
+        cp = critical_point(alpha)
+        results = maximize_psi(ModelParams.reduced(alpha, cp.h_c, cp.j_c))
+        assert len(results) == 1
+        x, y = x_alpha(cp.d_c, alpha), y_alpha(cp.d_c, alpha)
+        want = np.array([0.5 * x * x, 0.5 * y * y, cp.d_c])
+        assert np.abs(results[0][0].vector - want).max() <= 1e-4 * cp.d_c
+
+    def test_switched_off_dimer_type(self):
+        # d_B ~ 1e-110 puts 1e110 on the Hessian diagonal; the Newton step
+        # must still resolve every component to its own relative precision
+        params = ModelParams(
+            alpha=0.4,
+            h=[2.7, -250.0, -1.5],
+            J=[[-1.1, -1.0, -0.7], [-0.2, -1.7, 1.0], [0.3, -0.8, -1.7]],
+        )
+        (point, _), = maximize_psi(params)
+        target = fixed_point_solve(params).vector
+        assert target[1] < 1e-100
+        assert np.all(np.abs(point.vector - target) <= 1e-9 * target)
+        assert np.abs(grad_psi(point, params)).max() < 1e-10
+
+    def test_unconverged_start_raises(self, monkeypatch):
+        from dimerfield import critical_point
+
+        cp = critical_point(0.3)
+        delta = 0.01 * cp.j_c
+        params = ModelParams.reduced(0.3, cp.h_c - cp.d_c * delta, cp.j_c + delta)
+        monkeypatch.setattr(variational, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="gradient tolerance"):
+            maximize_psi(params)
 
     def test_stationarity_of_outputs(self):
         rng = np.random.default_rng(12)
