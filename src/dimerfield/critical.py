@@ -8,10 +8,14 @@ equation
 
     f(d) := log d - log x(d) - log y(d) = h + J d.
 
-f is the inverse of a sigmoid (f -> -inf at 0, +inf at the upper end of
-the reduced interval, f' > 0, f'' vanishing exactly once), so the tangency
-point of the line h + J d at the inflection of f is where the solution
-branches: f''(d_c) = 0, J_c = f'(d_c), h_c = f(d_c) - J_c d_c.
+f is the inverse of a sigmoid (f -> -inf at 0, +inf at the upper end top
+of the reduced interval, f' > 0), and its shape gives every bracket.
+f''' > 0, so f'' vanishes once, at d_c, where the tangency of h + J d makes
+the solution branch: J_c = f'(d_c), h_c = f(d_c) - J_c d_c.  For J > J_c,
+f' = J at one d1 < d_c and one d2 > d_c, so r(d) = f(d) - J d - h rises on
+(0, d1], falls on [d1, d2] and rises on [d2, top): at most one root per
+piece, a maximum of the reduced pressure exactly where r rises.  Brackets
+stay within top * 1e-12 of the ends; a root beyond raises an error.
 
 All of f', f'', f''' are closed-form chain-rule expressions (verified
 against finite differences in the tests); the third derivative is what the
@@ -25,21 +29,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import (
     STABILITY_GLOBAL,
     STABILITY_LOCAL,
     STABILITY_UNSTABLE,
+    TIE_TOL,
     BranchSolution,
     CriticalPoint,
     ReducedParams,
 )
-from .variational import _entropy_arrays
+from .variational import _bracketed_root, _entropy_arrays
 
 #: alpha -> 0 limit of the critical field h_c: d_c -> alpha/2 and
 #: J_c -> 4/alpha, so h_c -> -2 - log y(0) with y(0) = (sqrt 5 - 1)/2.
 H_C_LIMIT = float(-2.0 - np.log((np.sqrt(5.0) - 1.0) / 2.0))
+#: Brackets end within top * _REACH of 0 and of top.
+_REACH = 1e-12
 
 
 def x_alpha(d, alpha):
@@ -147,37 +153,47 @@ def _f3_raw(d, alpha):
     return 2.0 / d ** 3 + 2.0 * gx + 2.0 * gy
 
 
-def _root_grid(alpha, n):
-    """Grid on the reduced-density interval, geometrically refined toward
-    both endpoints where f diverges."""
+def _reach(alpha):
+    """Ends (lo, hi) of every bracket: top * 1e-12 in from 0 and from top."""
     top = reduced_density_max(alpha)
-    half = max(n // 2, 8)
-    low = np.geomspace(top * 1e-12, 0.5 * top, half)
-    return np.concatenate([low, top - low[::-1]])
+    return top * _REACH, top - top * _REACH
+
+
+def _inflection(alpha) -> float:
+    """The zero of f'' in float64: f'' is monotone, so the reach brackets it."""
+    return _bracketed_root(lambda d: _f2_raw(d, alpha), *_reach(alpha))
+
+
+def _edges(alpha, j, d_c):
+    """Ends of the pieces on which f(d) - J d alternately rises and falls,
+    and its values there: [lo, d1, d2, hi] with f'(d1) = f'(d2) = J, or
+    [lo, hi] when J <= f'(d_c) (1 + 1e-12) or f - J d does not fall from d1
+    to d2 in float64: a window that narrow is a tangency."""
+    lo, hi = _reach(alpha)
+    edges = [lo, hi]
+    if j > _f1_raw(d_c, alpha) * (1.0 + 1e-12):
+        if min(_f1_raw(lo, alpha), _f1_raw(hi, alpha)) <= j:
+            raise RuntimeError(f"f' = J={j} beyond reach of the interval ends for alpha={alpha}")
+        d1 = _bracketed_root(lambda d: _f1_raw(d, alpha) - j, lo, d_c)
+        d2 = _bracketed_root(lambda d: _f1_raw(d, alpha) - j, d_c, hi)
+        edges = [lo, d1, d2, hi]
+    level = [_f_raw(e, alpha) - j * e for e in edges]
+    if len(edges) == 4 and level[1] <= level[2]:
+        return edges[::3], level[::3]
+    return edges, level
 
 
 def critical_point(alpha: float) -> CriticalPoint:
     """Solve f''(d_c) = 0, then J_c = f'(d_c), h_c = f(d_c) - J_c d_c.
 
-    Bracketed bisection on f'' (sign change certified on a two-sided
-    geometric grid) followed by Newton steps in extended precision using
-    f'''; the refined density is kept on the result so the defining
-    residuals evaluate below 1e-9 at every alpha of interest.
+    One Brent call on the monotone f'' over the whole reach, then four
+    Newton steps in extended precision using f'''; the refined density is
+    kept on the result so the defining residuals evaluate below 1e-9 at
+    every alpha of interest.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    grid = _root_grid(alpha, 400)
-    vals = _f2_raw(grid, alpha)
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(sign_change) == 0:
-        raise RuntimeError(
-            f"f'' shows no sign change on the reduced interval for alpha={alpha}; "
-            f"this contradicts its strict monotonicity and signals a bug"
-        )
-    i = int(sign_change[0])
-    d_c = brentq(lambda d: _f2_raw(d, alpha), grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
-
-    d_hi = np.longdouble(d_c)
+    d_hi = np.longdouble(_inflection(alpha))
     alpha_hi = np.longdouble(alpha)
     for _ in range(4):
         d_hi = d_hi - _f2_raw(d_hi, alpha_hi) / _f3_raw(d_hi, alpha_hi)
@@ -198,55 +214,36 @@ def critical_residuals(cp: CriticalPoint) -> tuple[float, float, float]:
     )
 
 
-def solve_branches(
-    rp: ReducedParams, grid_points: int = 10_000, tie_tol: float = 1e-9
-) -> list[BranchSolution]:
+def solve_branches(rp: ReducedParams) -> list[BranchSolution]:
     """All solutions of f(d) = h + J d on the reduced interval, classified.
 
-    f'' vanishes once, so the line crosses f at most three times; sign
-    changes are located on a grid log-spaced toward both endpoints (where f
-    diverges and roots hide at small alpha), refined by Brent.  Roots with
-    f'(d) >= J are local maxima of the reduced pressure; the top value(s)
-    within ``tie_tol`` are the global ones; the rest are unstable.
+    One Brent call per monotone piece of r(d) = f(d) - J d - h that changes
+    sign.  Roots where r increases are maxima of the reduced pressure, those
+    within ``TIE_TOL`` of the best global and the others local; the root
+    where r decreases is unstable.  RuntimeError when a root lies beyond
+    reach (within top * 1e-12 of an interval end).
     """
     alpha, h, j = rp.alpha, rp.h, rp.j
-    grid = _root_grid(alpha, grid_points)
-    resid = _f_raw(grid, alpha) - h - j * grid
-    sgn = np.sign(resid)
-    roots: list[float] = []
-    hits = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-    for i in hits:
-        roots.append(
-            brentq(
-                lambda d: _f_raw(d, alpha) - h - j * d,
-                grid[i],
-                grid[i + 1],
-                xtol=1e-300,
-                rtol=8.9e-16,
-            )
-        )
-    roots.extend(float(grid[k]) for k in np.nonzero(resid == 0.0)[0])
-    roots = sorted(set(roots))
-    # collapse near-coincident roots from adjacent brackets
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= 1e-12 * reduced_density_max(alpha):
-            continue
-        merged.append(r)
+    edges, level = _edges(alpha, j, _inflection(alpha))
 
-    values = [psi1(r, rp) for r in merged]
-    slope_tol = 1e-9 * max(1.0, j)
-    is_max = [float(_f1_raw(r, alpha)) - j >= -slope_tol for r in merged]
-    best = max((v for v, m in zip(values, is_max) if m), default=max(values, default=0.0))
+    def resid(d):
+        return _f_raw(d, alpha) - j * d - h
+
+    r = [v - h for v in level]
+    if r[0] > 0.0 or r[-1] < 0.0:
+        raise RuntimeError(f"a root of f(d) = h + J d lies beyond reach for {rp}")
+    roots = []
+    for k in range(len(edges) - 1):
+        rising = k % 2 == 0
+        if (r[k] <= 0.0 <= r[k + 1]) if rising else (r[k + 1] < 0.0 < r[k]):
+            roots.append((_bracketed_root(resid, edges[k], edges[k + 1]), rising))
+
+    values = psi1(np.array([d for d, _ in roots]), rp).tolist()
+    best = max(v for v, (_, rising) in zip(values, roots) if rising)
     out = []
-    for r, v, m in zip(merged, values, is_max):
-        if not m:
-            stability = STABILITY_UNSTABLE
-        elif v >= best - tie_tol:
-            stability = STABILITY_GLOBAL
-        else:
-            stability = STABILITY_LOCAL
-        out.append(BranchSolution(d=r, psi1_value=v, stability=stability))
+    for (d, rising), v in zip(roots, values):
+        stability = STABILITY_GLOBAL if v >= best - TIE_TOL else STABILITY_LOCAL
+        out.append(BranchSolution(d, v, stability if rising else STABILITY_UNSTABLE))
     return out
 
 
@@ -288,7 +285,7 @@ def exponent_scan(alpha: float, j_offsets) -> ExponentScan:
     and prefactor of log(d* - d_c) against log(delta).
     """
     cp = critical_point(alpha)
-    offsets = np.asarray(j_offsets, dtype=float).reshape(-1)
+    offsets = np.sort(np.asarray(j_offsets, dtype=float).reshape(-1))
     if offsets.size < 2:
         raise ValueError("need at least two offsets to fit an exponent")
     if np.any(offsets <= 0.0):
@@ -299,7 +296,7 @@ def exponent_scan(alpha: float, j_offsets) -> ExponentScan:
             f"(got max {offsets.max():.6g})"
         )
     deviations = np.empty_like(offsets)
-    for k, delta in enumerate(np.sort(offsets)):
+    for k, delta in enumerate(offsets):
         rp = ReducedParams(alpha, cp.h_c - cp.d_c * delta, cp.j_c + delta)
         tops = global_branches(solve_branches(rp))
         d_star = max(b.d for b in tops)
@@ -309,7 +306,6 @@ def exponent_scan(alpha: float, j_offsets) -> ExponentScan:
                 f"(d*={d_star:.6g} <= d_c={cp.d_c:.6g}); not the branching regime"
             )
         deviations[k] = d_star - cp.d_c
-    offsets = np.sort(offsets)
     exponent, prefactor = _fit_loglog(offsets, deviations)
     return ExponentScan(
         alpha=alpha,
@@ -324,40 +320,36 @@ def exponent_scan(alpha: float, j_offsets) -> ExponentScan:
 def coexistence_field(alpha: float, j: float, cp: CriticalPoint | None = None) -> float:
     """Field h at which the two pressure maxima tie, for given alpha, J > J_c.
 
-    Inside the three-root window the tie gap psi1(upper) - psi1(lower) is
-    strictly decreasing in h (its h-derivative is d_lower - d_upper), and
-    outside the window the single surviving root sits on the high side for
-    h above coexistence and the low side below, so a sign-consistent
-    bisection bracket always exists around the inflection-tangent guess.
+    Three roots exist exactly for h in [f(d2) - J d2, f(d1) - J d1], where
+    psi1(upper) - psi1(lower) rises from below 0 to above (its h-derivative
+    is d_upper - d_lower), so one Brent call finds the tie; a window below
+    rounding gives f(d_c) - J d_c.  RuntimeError when the tie needs an outer
+    root beyond reach (large J).
     """
     if cp is None:
         cp = critical_point(alpha)
     if not j > cp.j_c:
         raise ValueError(f"need j > J_c(alpha) = {cp.j_c:.6g} for coexistence, got {j}")
+    edges, level = _edges(alpha, j, cp.d_c)
+    if len(edges) == 2:
+        return float(_f_raw(cp.d_c, alpha) - j * cp.d_c)
+    lo, d1, d2, hi = edges
 
     def gap(h: float) -> float:
-        branches = solve_branches(ReducedParams(alpha, h, j))
-        maxima = [b for b in branches if b.stability != STABILITY_UNSTABLE]
-        if len(maxima) >= 2:
-            return maxima[-1].psi1_value - maxima[0].psi1_value
-        return 1.0 if maxima[0].d > cp.d_c else -1.0
+        # exactly 0 at an edge whose level is h, so that edge is the root
+        def resid(d):
+            return _f_raw(d, alpha) - j * d - h
 
-    h0 = float(_f_raw(np.float64(cp.d_c), alpha) - j * cp.d_c)
-    width = 0.05 * max(1.0, abs(h0))
-    lo, hi = h0 - width, h0 + width
-    g_lo, g_hi = gap(lo), gap(hi)
-    expansions = 0
-    while g_lo * g_hi > 0.0:
-        expansions += 1
-        if expansions > 60:
-            raise RuntimeError(
-                f"could not bracket the coexistence field near h={h0:.6g} "
-                f"for alpha={alpha}, j={j}"
-            )
-        width *= 2.0
-        lo, hi = h0 - width, h0 + width
-        g_lo, g_hi = gap(lo), gap(hi)
-    return float(brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        lower, upper = _bracketed_root(resid, lo, d1), _bracketed_root(resid, d2, hi)
+        psi_lower, psi_upper = psi1(np.array([lower, upper]), ReducedParams(alpha, h, j))
+        # the sign at an end of the window is known even where rounding hides it
+        tie = psi_upper - psi_lower
+        return min(tie, 0.0) if h == level[2] else max(tie, 0.0) if h == level[1] else tie
+
+    h_lo, h_hi = max(level[0], level[2]), min(level[1], level[3])
+    if not (h_lo <= h_hi and gap(h_lo) <= 0.0 <= gap(h_hi)):
+        raise RuntimeError(f"coexistence at alpha={alpha}, j={j} needs a root beyond reach")
+    return float(_bracketed_root(gap, h_lo, h_hi))
 
 
 @dataclass(frozen=True)
@@ -393,7 +385,7 @@ def scaled_coupling_critical(jprime: float) -> ScaledCritical:
             f"no critical alpha bracketed in [{lo:.4g}, {hi:.4g}] for "
             f"jprime={jprime}; outside the scaled regime"
         )
-    alpha_c = brentq(mismatch, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    alpha_c = _bracketed_root(mismatch, lo, hi)
     cp = critical_point(alpha_c)
     return ScaledCritical(
         jprime=jprime,

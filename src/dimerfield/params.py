@@ -19,6 +19,8 @@ STABILITY_GLOBAL = "global-max"
 STABILITY_LOCAL = "local-max"
 STABILITY_UNSTABLE = "unstable"
 STABILITIES = (STABILITY_GLOBAL, STABILITY_LOCAL, STABILITY_UNSTABLE)
+#: Absolute pressure gap below which two maxima count as tied (global).
+TIE_TOL = 1e-9
 
 
 def _as_vector3(value, name: str) -> np.ndarray:

@@ -32,10 +32,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .params import DimerDensities, ModelParams
+from .params import TIE_TOL, DimerDensities, ModelParams
 
 _REGION_TOL = 1e-12
 _TINY = 1e-300
+
+
+def _bracketed_root(fn, a, b) -> float:
+    """Brent root of fn on [a, b] (signs differ at the ends) to float64 rounding."""
+    return brentq(fn, a, b, xtol=1e-300, rtol=8.9e-16)
 
 
 def log_gamma_fn(x):
@@ -122,29 +127,32 @@ def _monomers(v, alpha):
     return alpha - 2.0 * v[0] - v[2], 1.0 - alpha - 2.0 * v[1] - v[2]
 
 
-def _is_interior(v, alpha) -> bool:
+# ``free`` selects the density components that vary and must be positive.
+def _is_interior(v, alpha, free=slice(None)) -> bool:
     m_a, m_b = _monomers(v, alpha)
-    return min(v[0], v[1], v[2], m_a, m_b) > 0.0
+    return min(m_a, m_b, *v[free]) > 0.0
 
 
-def _grad(v, alpha, h, j_sym) -> np.ndarray:
+def _grad(v, alpha, h, j_sym, free=slice(None)) -> np.ndarray:
     m_a, m_b = _monomers(v, alpha)
-    grad_s = np.log([m_a * m_a / (2.0 * v[0]), m_b * m_b / (2.0 * v[1]), m_a * m_b / v[2]])
-    return grad_s + h + j_sym @ v
+    pairs = np.array([m_a * m_a / 2.0, m_b * m_b / 2.0, m_a * m_b])
+    return np.log(pairs[free] / v[free]) + h[free] + (j_sym @ v)[free]
 
 
-def _entropy_hessian(v, alpha) -> np.ndarray:
+def _entropy_hessian(v, alpha, free=slice(None)) -> np.ndarray:
     """Hessian of s: each monomer density enters through -log m, so the
     d_A-d_B entry vanishes and d_AB couples to both monomer terms."""
     m_a, m_b = _monomers(v, alpha)
     ia, ib = 1.0 / m_a, 1.0 / m_b
-    return np.array(
+    hess = np.array(
         [
-            [-4.0 * ia - 1.0 / v[0], 0.0, -2.0 * ia],
-            [0.0, -4.0 * ib - 1.0 / v[1], -2.0 * ib],
-            [-2.0 * ia, -2.0 * ib, -ia - ib - 1.0 / v[2]],
+            [-4.0 * ia, 0.0, -2.0 * ia],
+            [0.0, -4.0 * ib, -2.0 * ib],
+            [-2.0 * ia, -2.0 * ib, -ia - ib],
         ]
-    )
+    )[free][:, free]
+    hess.flat[:: len(hess) + 1] -= 1.0 / v[free]
+    return hess
 
 
 def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
@@ -169,7 +177,7 @@ def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
     if top <= 0.0:
         m_b = beta
     else:
-        m_b = brentq(resid_b, 0.0, beta, xtol=1e-300, rtol=8.9e-16)
+        m_b = _bracketed_root(resid_b, 0.0, beta)
     m_a = m_a_of(m_b)
 
     # two Newton corrections on the full 2x2 system take the bracketed
@@ -333,12 +341,14 @@ _GRAD_TOL = 1e-10
 #: Allowed psi drop in the line search and along a basin segment, relative
 #: to the size of psi: rounding, not a real decrease.
 _PSI_SLACK = 1e-14
+#: Grid starts refined per call, at most.
+_N_STARTS = 12
 #: Points (ends included) at which a segment between two maxima is probed
 #: for a dip.
 _SEGMENT_T = np.linspace(0.0, 1.0, 9)
 
 
-def _scaled_eigh(v, alpha, j_sym):
+def _scaled_eigh(v, alpha, j_sym, free):
     """Eigen-decomposition of the Hessian at v, scaled to unit entropy diagonal.
 
     A density near zero puts ~1/d on the Hessian diagonal; the scaling (a
@@ -349,20 +359,20 @@ def _scaled_eigh(v, alpha, j_sym):
     say, 1e-100 (a dimer type switched off by a field of -250).
     Returns (scale, eigenvalues, eigenvectors).
     """
-    hess_s = _entropy_hessian(v, alpha)
+    hess_s = _entropy_hessian(v, alpha, free)
     scale = 1.0 / np.sqrt(-np.diag(hess_s))
-    hess = scale[:, None] * (hess_s + j_sym) * scale
+    hess = scale[:, None] * (hess_s + j_sym[free][:, free]) * scale
     coupled = np.abs(hess - np.diag(np.diag(hess))) > np.finfo(float).eps
     lam = np.diag(hess).copy()
-    vecs = np.eye(3)
+    vecs = np.eye(free.size)
     rest = np.flatnonzero(coupled.any(axis=1))
     if rest.size:
         lam[rest], vecs[np.ix_(rest, rest)] = np.linalg.eigh(hess[np.ix_(rest, rest)])
     return scale, lam, vecs
 
 
-def _newton_ascent(params: ModelParams, v: np.ndarray):
-    """Safeguarded Newton on grad psi = 0 from the interior point v.
+def _newton_ascent(params: ModelParams, v: np.ndarray, free: np.ndarray):
+    """Safeguarded Newton on grad psi = 0 in the components ``free``, from v.
 
     Steps are saddle-free (the Hessian's eigenvalues enter by modulus, so
     every step ascends) and halved until the iterate stays strictly inside
@@ -372,17 +382,18 @@ def _newton_ascent(params: ModelParams, v: np.ndarray):
     """
     alpha, h, js = params.alpha, params.h, params.j_sym
     value = float(_psi_arrays(*v, params))
-    g = _grad(v, alpha, h, js)
+    g = _grad(v, alpha, h, js, free)
+    step = np.zeros(3)
     for _ in range(_NEWTON_MAX_ITER):
-        scale, lam, vecs = _scaled_eigh(v, alpha, js)
-        if np.abs(g).max() <= _GRAD_TOL:
+        scale, lam, vecs = _scaled_eigh(v, alpha, js, free)
+        if np.abs(g).max(initial=0.0) <= _GRAD_TOL:
             return v, value, lam
-        step = scale * (vecs @ ((vecs.T @ (scale * g)) / np.abs(lam)))
+        step[free] = scale * (vecs @ ((vecs.T @ (scale * g)) / np.abs(lam)))
         slack = _PSI_SLACK * (1.0 + abs(value))
         t = 1.0
         while True:
             trial = v + t * step
-            if _is_interior(trial, alpha):
+            if _is_interior(trial, alpha, free):
                 trial_value = float(_psi_arrays(*trial, params))
                 if trial_value >= value - slack:
                     break
@@ -393,7 +404,7 @@ def _newton_ascent(params: ModelParams, v: np.ndarray):
                     f"{np.abs(g).max():.3e}) for {params}"
                 )
         v, value = trial, trial_value
-        g = _grad(v, alpha, h, js)
+        g = _grad(v, alpha, h, js, free)
     raise RuntimeError(
         f"maximize_psi: Newton refinement did not meet the gradient tolerance "
         f"within {_NEWTON_MAX_ITER} steps (|grad psi| = {np.abs(g).max():.3e} at "
@@ -410,21 +421,20 @@ def _same_basin(params: ModelParams, a, b) -> bool:
 
 
 def maximize_psi(
-    params: ModelParams,
-    grid_resolution: int = 64,
-    n_starts: int = 12,
-    tie_tol: float = 1e-9,
+    params: ModelParams, grid_resolution: int = 64
 ) -> list[tuple[DimerDensities, float]]:
     """All global maximizers of psi over the hard-core region.
 
     A coarse grid (boundary faces included) locates candidate basins, and
     the best points, thinned so that each start sits in its own patch of
-    the grid, become up to ``n_starts`` starts.  One step of the
-    self-consistency map moves each start strictly inside the region; a
-    safeguarded Newton iteration with the closed-form Hessian then refines
-    it to a stationary point, and points whose Hessian has a positive
-    eigenvalue are dropped.  The maxima within ``tie_tol`` of the best value
-    are returned (the coexistence line genuinely has ties), one per basin:
+    the grid, become up to ``_N_STARTS`` starts.  One step of the
+    self-consistency map moves each start inside the region; a density it
+    leaves below the smallest normal double (a field below about -705) is
+    frozen at exactly 0, where 1/d would overflow.  Safeguarded Newton with
+    the closed-form Hessian refines the other components to a stationary
+    point, and points whose Hessian has a positive eigenvalue are dropped.
+    The maxima within ``TIE_TOL`` of the best value are returned (the
+    coexistence line genuinely has ties), one per basin:
     two candidates count as one maximizer when psi shows no dip along the
     segment between them, which also holds exactly at the critical point,
     where psi is flat to fourth order and the converged points scatter by
@@ -432,25 +442,22 @@ def maximize_psi(
 
     Raises RuntimeError when a start does not reach the gradient tolerance
     within the iteration cap, or when the activities exp(h + J d) overflow
-    or underflow, or leave a density too small for 1/d to be finite (fields
-    beyond about +-700).
+    (fields above about +700).
     """
     if grid_resolution < 4:
         raise ValueError("grid_resolution must be at least 4")
     points, values = _psi_grid(params, grid_resolution)
     alpha = params.alpha
-    k = min(40 * n_starts, values.size)
+    k = min(40 * _N_STARTS, values.size)
     top = np.argpartition(values, -k)[-k:]
     order = top[np.argsort(values[top])[::-1]]
     # candidate thinning works per axis in units of that axis' extent, so
     # separated basins survive even when alpha (hence the region) is tiny
-    scale = np.array(
-        [0.5 * alpha, 0.5 * (1.0 - alpha), min(alpha, 1.0 - alpha)]
-    )
+    scale = np.array([0.5 * alpha, 0.5 * (1.0 - alpha), min(alpha, 1.0 - alpha)])
     thin_radius = 3.0 / (grid_resolution - 1)
     starts = points[order[:1]]
     for idx in order[1:]:
-        if len(starts) >= n_starts:
+        if len(starts) >= _N_STARTS:
             break
         p = points[idx]
         if np.abs((p - starts) / scale).max(axis=1).min() > thin_radius:
@@ -459,15 +466,14 @@ def maximize_psi(
     candidates = []
     for p in starts:
         v = _map(params, p)
-        if not _is_interior(v, alpha):
-            raise RuntimeError(
-                f"maximize_psi: the map step from {p} left the interior ({v}); "
-                f"activities exp(h + J d) underflow for {params}"
-            )
-        v, value, lam = _newton_ascent(params, v)
+        v[v < np.finfo(float).tiny] = 0.0
+        free = np.flatnonzero(v)
+        if not _is_interior(v, alpha, free):
+            raise RuntimeError(f"maximize_psi: the map step left no monomers at {v} for {params}")
+        v, value, lam = _newton_ascent(params, v, free)
         # a clearly positive eigenvalue marks a saddle; at the critical point
         # the flat direction's eigenvalue sits near zero and must still count
-        if lam.max() <= np.sqrt(np.finfo(float).eps) * np.abs(lam).max():
+        if np.all(lam <= np.sqrt(np.finfo(float).eps) * np.abs(lam).max(initial=0.0)):
             candidates.append((v, value))
     if not candidates:
         raise RuntimeError(f"maximize_psi: no start converged to a maximum for {params}")
@@ -475,7 +481,7 @@ def maximize_psi(
     best = max(value for _, value in candidates)
     keep: list[tuple[np.ndarray, float]] = []
     for v, value in sorted(candidates, key=lambda t: -t[1]):
-        if value < best - tie_tol:
+        if value < best - TIE_TOL:
             break
         if not any(_same_basin(params, v, kept) for kept, _ in keep):
             keep.append((v, value))

@@ -166,6 +166,14 @@ class TestExitCodes:
         code, _ = run_cli(["scaled", "--jprime", "160000", "--alphas", "0.001,0.002"])
         assert code == 2
 
+    def test_coexistence_beyond_reach(self, capsys):
+        # J = 95 J_c at alpha = 0.05: the low-density phase at the tie lies
+        # below 1e-12 of the interval, so the scan fails as numerical
+        code, _ = run_cli(["scaled", "--jprime", "160000", "--alphas", "0.05"])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "numerical"
+
     def test_missing_jprime(self):
         code, _ = run_cli(["scaled"])
         assert code == 2

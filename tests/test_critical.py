@@ -208,6 +208,27 @@ class TestBranches:
         assert len(branches) == 1
         assert branches[0].d > 0.9 * 1e-2
 
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.3, 0.5])
+    def test_three_roots_close_to_critical_point(self, alpha):
+        # on h = h_c - d_c delta, J = J_c + delta the middle root is d_c and
+        # the outer ones sit about 0.2% of d_c away at delta = 1e-6 J_c
+        cp = critical_point(alpha)
+        delta = 1e-6 * cp.j_c
+        branches = solve_branches(ReducedParams(alpha, cp.h_c - cp.d_c * delta, cp.j_c + delta))
+        assert len(branches) == 3
+        assert branches[1].stability == "unstable"
+        assert abs(branches[1].d - cp.d_c) <= 1e-9 * cp.d_c
+        assert branches[0].stability != "unstable"
+        assert branches[2].stability != "unstable"
+
+    def test_root_beyond_reach_raises(self):
+        # the only root, about exp(-40), lies below 1e-12 of the interval
+        with pytest.raises(RuntimeError, match="beyond reach"):
+            solve_branches(ReducedParams(0.3, -40.0, 1.0))
+        # f' reaches J = 1e13 only closer to the ends than top * 1e-12
+        with pytest.raises(RuntimeError, match="beyond reach"):
+            solve_branches(ReducedParams(0.3, 0.0, 1e13))
+
     def test_single_sign_change_below_jc_over_field_grid(self):
         cp = critical_point(1e-2)
         for h in np.linspace(cp.h_c - 3, cp.h_c + 3, 9):
@@ -303,6 +324,34 @@ class TestDmixScan:
         tops = [b for b in branches if b.stability == "global-max"]
         assert len(tops) == 2
         assert abs(tops[0].psi1_value - tops[1].psi1_value) < 1e-10
+
+
+class TestCoexistenceField:
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("ratio", [1.0001, 10.0])
+    def test_ties_maxima(self, alpha, ratio):
+        cp = critical_point(alpha)
+        j = ratio * cp.j_c
+        h = coexistence_field(alpha, j, cp=cp)
+        tops = [b for b in solve_branches(ReducedParams(alpha, h, j)) if b.stability == "global-max"]
+        assert len(tops) == 2
+        assert abs(tops[0].psi1_value - tops[1].psi1_value) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.3])
+    @pytest.mark.parametrize("eps", [1e-13, 2.05e-12, 1e-10, 1e-8])
+    def test_near_critical_follows_pivot_line(self, alpha, eps):
+        # the three-root window shrinks like eps^(3/2) around the pivot line
+        # h = h_c - d_c (J - J_c), down to below rounding
+        cp = critical_point(alpha)
+        j = (1.0 + eps) * cp.j_c
+        h = coexistence_field(alpha, j, cp=cp)
+        assert abs(h - (cp.h_c - cp.d_c * (j - cp.j_c))) <= 1e-10 * abs(h)
+
+    def test_tie_beyond_reach_raises(self):
+        # at 30 J_c the low-density phase at the tie is about exp(-60)
+        cp = critical_point(0.3)
+        with pytest.raises(RuntimeError, match="beyond reach"):
+            coexistence_field(0.3, 30.0 * cp.j_c, cp=cp)
 
 
 class TestMixedFractionHelper:

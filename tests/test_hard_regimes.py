@@ -4,7 +4,9 @@ With only h_AB and J_AB^AB active the 3-D maximizers must be the points
 (x^2/2, y^2/2, d*) for exactly the global roots d* of f(d) = h + J d that
 `solve_branches` finds.  The draws cover the exact critical point, the
 near-critical window J = (1 + eps) J_c on h = h_c - d_c eps J_c, the
-coexistence field at J = 1.5 J_c, and subcritical couplings.
+coexistence field at J = 1.5 J_c, and subcritical couplings; one more
+checks that `solve_branches` finds all three roots on that line down to
+J - J_c = 1e-8 J_c.
 """
 
 import numpy as np
@@ -67,3 +69,13 @@ def test_coexistence(alpha):
 def test_subcritical(alpha, ratio, shift):
     cp = critical_point(alpha)
     assert_matches_global_roots(ReducedParams(alpha, cp.h_c + shift * cp.d_c * cp.j_c, ratio * cp.j_c), 1e-8)
+
+
+@given(alphas, st.floats(-8.0, np.log10(0.05)))
+def test_three_roots_on_pivot_line(alpha, log_rel):
+    # solve_branches alone: the middle root sits at d_c, and the outer ones
+    # close in on it like sqrt(delta) as delta / J_c falls to 1e-8
+    cp = critical_point(alpha)
+    delta = 10.0**log_rel * cp.j_c
+    branches = solve_branches(ReducedParams(alpha, cp.h_c - cp.d_c * delta, cp.j_c + delta))
+    assert [b.stability == "unstable" for b in branches] == [False, True, False]

@@ -321,6 +321,22 @@ class TestMaximizePsi:
         assert np.all(np.abs(point.vector - target) <= 1e-9 * target)
         assert np.abs(grad_psi(point, params)).max() < 1e-10
 
+    def test_subnormal_density_frozen_at_zero(self):
+        # h_B = -720 leaves d_B ~ 1e-314, subnormal, where 1/d_B overflows;
+        # frozen at 0 it changes nothing else at double precision
+        (point, value), = maximize_psi(ModelParams(0.4, h=[0.2, -720.0, -0.3]))
+        (ref, ref_value), = maximize_psi(ModelParams(0.4, h=[0.2, -700.0, -0.3]))
+        assert point.d_b == 0.0
+        assert abs(point.d_a - ref.d_a) <= 1e-12
+        assert abs(point.d_ab - ref.d_ab) <= 1e-12
+        assert abs(value - ref_value) <= 1e-12
+
+    def test_underflowing_activity_matches_zero_coupling(self):
+        # exp(-800) underflows to 0, so the map step puts d_A at exactly 0
+        (point, _), = maximize_psi(ModelParams(0.4, h=[-800.0, 0.0, 0.0]))
+        target = solve_zero_coupling([-800.0, 0.0, 0.0], 0.4).vector
+        assert np.abs(point.vector - target).max() <= 1e-12
+
     def test_unconverged_start_raises(self, monkeypatch):
         from dimerfield import critical_point
 
