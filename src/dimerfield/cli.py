@@ -67,6 +67,9 @@ _UNITS = {
     "exponent": "pure",
     "prefactor": "pure",
     "c_fit": "pure",
+    "classes_visited": "classes",
+    "classes_total": "classes",
+    "log_tail_bound": "nats",
     "grad_norm": "pure",
     "fp_residual": "pure",
     "index": "pure",
@@ -285,7 +288,7 @@ def _run_exact(cfg: RunConfig):
     params = cfg.model_params()
     rows = []
     for n in cfg.n_grid:
-        log_z, s_a, s_b, s_ab, mix = model._ensemble_sums(n, params, cfg.cap)
+        log_z, s_a, s_b, s_ab, mix = model._ensemble_sums(n, params, cfg.cap)[:5]
         rows.append(
             {
                 "n": n,
@@ -491,19 +494,23 @@ def _run_convergence(cfg: RunConfig):
     params = cfg.model_params()
     p = vari.pressure(params, grid_resolution=cfg.grid_resolution)
     ns = sorted(cfg.n_grid)
-    densities = [model.log_partition_exact(n, params, cfg.cap) / n for n in ns]
+    sums = [model._ensemble_sums(n, params, cfg.cap) for n in ns]
+    densities = [float(out[0]) / n for n, out in zip(ns, sums)]
     errors = np.abs(np.array(densities) - p)
     x = np.array([np.log(n) / n for n in ns])
     c_fit = float((errors @ x) / (x @ x))
     rows = [
         {
             "n": n,
-            "pressure_density": float(dens),
+            "pressure_density": dens,
             "p": p,
             "abs_error": float(err),
             "envelope": c_fit * np.log(n) / n,
+            "classes_visited": out[5],
+            "classes_total": model.admissible_count(model.split_sizes(n, params.alpha)),
+            "log_tail_bound": out[6],
         }
-        for n, dens, err in zip(ns, densities, errors)
+        for n, dens, err, out in zip(ns, densities, errors, sums)
     ]
     return rows, {"p": p, "c_fit": c_fit}
 

@@ -84,6 +84,11 @@ class TestConvergenceCommand:
         assert data["summary"]["c_fit"] > 0.0
         errs = [r["abs_error"] for r in data["rows"]]
         assert errs == sorted(errs, reverse=True)
+        for row in data["rows"]:
+            assert 0 < row["classes_visited"] <= row["classes_total"]
+            assert row["log_tail_bound"] <= np.log(1e-15)
+        # the pruning diagnostics are data: a rerun prints the same bytes
+        assert run_cli(["convergence", "--alpha", "0.5", "--n", "50,100,200", "--grid-res", "48"])[1] == out
 
 
 class TestBranchesCommand:

@@ -20,9 +20,11 @@ from dimerfield import (
     hamiltonian,
     log_config_count,
     log_partition_exact,
+    pressure,
     split_sizes,
     solve_zero_coupling,
 )
+from dimerfield.model import DEFAULT_ENUMERATION_CAP, _ensemble_sums
 
 
 def matching_oracle(n, params):
@@ -183,6 +185,20 @@ class TestPartitionFunction:
             log_partition_exact(101, ModelParams(alpha=0.5), cap=100)
         log_partition_exact(101, ModelParams(alpha=0.5), cap=101)
 
+    def test_at_enumeration_cap(self):
+        # N = 2000 visits about a tenth of the 8.4e7 classes; the sum must
+        # still sit inside the log N / N envelope of the limit pressure
+        n = DEFAULT_ENUMERATION_CAP
+        params = ModelParams(
+            alpha=0.5,
+            h=[0.3, -0.6, 0.2],
+            J=[[0.5, -0.4, 0.2], [-0.4, -0.8, 0.6], [0.2, 0.6, 0.3]],
+        )
+        log_z, _, _, _, _, visited, log_tail = _ensemble_sums(n, params, n)
+        assert abs(log_z / n - pressure(params)) <= np.log(n) / n
+        assert log_tail <= np.log(1e-15)
+        assert visited < admissible_count(split_sizes(n, params.alpha))
+
 
 class TestHardCoreClosure:
     @pytest.mark.parametrize("n_a,n_b", [(2, 2), (5, 11), (7, 3), (12, 12)])
@@ -195,6 +211,15 @@ class TestHardCoreClosure:
                     if 2 * d_a + d_ab <= n_a and 2 * d_b + d_ab <= n_b:
                         brute += 1
         assert admissible_count(sizes) == brute
+
+    def test_closed_form_matches_loop(self):
+        for n_a in range(1, 61):
+            for n_b in range(1, 61):
+                loop = 0
+                for d_a in range(n_a // 2 + 1):
+                    for d_b in range(n_b // 2 + 1):
+                        loop += min(n_a - 2 * d_a, n_b - 2 * d_b) + 1
+                assert admissible_count(PopulationSizes(n_a + n_b, n_a, n_b)) == loop
 
 
 class TestGibbsObservables:
