@@ -1,10 +1,16 @@
 """Command-line front end: run experiments, emit CSV/JSON tables.
 
-Every command resolves its full configuration first (flags, then optional
-key=value config file overriding them) and embeds it in JSON output for
-provenance.  CSV output carries a header row naming each column with its
-unit; all floats print at 17 significant digits so values round-trip
-exactly.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
+One argparse parser reads every option.  Each option is declared once in
+``_OPTIONS`` and each command accepts only the options its runner reads,
+so a flag the command would ignore is a usage error.  ``--config FILE``
+holds ``key=value`` lines keyed by option name (``alpha``, ``n_grid``,
+``grid_resolution``, ...); they are appended to the command line as
+``--flag=value`` and parsed by the same subparser, so the file overrides
+flags and a key the command does not read is rejected too.  JSON output
+embeds the parsed options for provenance.  CSV output carries a header row
+naming each column with its unit; all floats print at 17 significant digits
+so values round-trip exactly.  Exit codes: 0 success, 2 usage or validation
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -85,195 +91,128 @@ _UNITS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run description (embedded in JSON output)."""
-
-    command: str
-    alpha: float = 0.5
-    h: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    j: list = field(default_factory=lambda: [[0.0] * 3 for _ in range(3)])
-    n_grid: list | None = None
-    offsets: list | None = None
-    jprime: float | None = None
-    alphas: list | None = None
-    h_ab_grid: list | None = None
-    j_abab_grid: list | None = None
-    trials: int = 10
-    quad_nodes: int = 200
-    cap: int = model.DEFAULT_ENUMERATION_CAP
-    grid_resolution: int = 64
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(alpha=self.alpha, h=np.array(self.h), J=np.array(self.j))
-
-
-def _parse_grid(spec: str, integer: bool = False) -> list:
+def _parse_grid(spec: str) -> list:
     """Parse '1,2,3', 'lo:hi:n' (linear) or 'lo:hi:ng' (geometric)."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ValueError(f"range spec must be lo:hi:n, got {spec!r}")
+            raise argparse.ArgumentTypeError(f"range spec must be lo:hi:n, got {spec!r}")
         lo, hi = float(parts[0]), float(parts[1])
         count_s = parts[2]
         geometric = count_s.endswith("g")
         count = int(count_s[:-1] if geometric else count_s)
         if count < 1:
-            raise ValueError(f"range spec needs at least one point: {spec!r}")
+            raise argparse.ArgumentTypeError(f"range spec needs at least one point: {spec!r}")
         vals = np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count)
     else:
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
     if vals.size == 0 or not np.all(np.isfinite(vals)):
-        raise ValueError(f"grid spec {spec!r} produced no finite values")
-    if integer:
-        ints = [int(round(v)) for v in vals]
-        if any(abs(i - v) > 1e-9 for i, v in zip(ints, vals)):
-            raise ValueError(f"grid spec {spec!r} must contain integers")
-        return ints
+        raise argparse.ArgumentTypeError(f"grid spec {spec!r} produced no finite values")
     return [float(v) for v in vals]
+
+
+def _parse_int_grid(spec: str) -> list:
+    vals = _parse_grid(spec)
+    ints = [int(round(v)) for v in vals]
+    if any(abs(i - v) > 1e-9 for i, v in zip(ints, vals)):
+        raise argparse.ArgumentTypeError(f"grid spec {spec!r} must contain integers")
+    return ints
 
 
 def _parse_vec3(spec: str) -> list:
     vals = [float(tok) for tok in spec.split(",")]
     if len(vals) != 3:
-        raise ValueError(f"expected 3 comma-separated values, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected 3 comma-separated values, got {spec!r}")
     return vals
 
 
 def _parse_mat3(spec: str) -> list:
     vals = [float(tok) for tok in spec.split(",")]
     if len(vals) != 9:
-        raise ValueError(f"expected 9 comma-separated values (row-major), got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected 9 comma-separated values (row-major): {spec!r}")
     return [vals[0:3], vals[3:6], vals[6:9]]
+
+
+#: Every option, declared once: dest -> (flag names, add_argument keywords).
+#: A config-file key is a dest and stands for the first name.  String
+#: defaults go through the converter on every parse, so no run shares a list.
+_OPTIONS = {
+    "alpha": (["--alpha"], dict(type=float, default=0.5, help="population-A fraction")),
+    "h": (["--h"], dict(type=_parse_vec3, default="0,0,0", help="h_A,h_B,h_AB")),
+    "j": (["--j", "--J"], dict(type=_parse_mat3, default="0,0,0,0,0,0,0,0,0", help="J row by row")),
+    "h_ab": (["--h-ab"], dict(type=float, help="mixed-dimer field (sets h_AB)")),
+    "j_abab": (["--j-abab"], dict(type=float, help="mixed-dimer coupling (sets J[AB,AB])")),
+    "n_grid": (["--n", "--N", "--n-grid"], dict(type=_parse_int_grid, help="system sizes N")),
+    "cap": (["--cap"], dict(type=int, default=model.DEFAULT_ENUMERATION_CAP, help="largest N")),
+    "grid_resolution": (["--grid-res"], dict(type=int, default=64, help="psi grid points/axis")),
+    "quad_nodes": (["--quad-nodes"], dict(type=int, default=200, help="quadrature nodes")),
+    "seed": (["--seed"], dict(type=int, default=0, help="seed of the superadditivity draws")),
+    "trials": (["--trials"], dict(type=int, default=10, help="superadditivity triples")),
+    "h_ab_grid": (["--h-ab-grid"], dict(type=_parse_grid, help="mixed fields to scan")),
+    "j_abab_grid": (["--j-abab-grid"], dict(type=_parse_grid, help="mixed couplings to scan")),
+    "offsets": (["--offsets"], dict(type=_parse_grid, help="coupling offsets above J_c")),
+    "jprime": (["--jprime"], dict(type=float, required=True, help="J_ABAB / (alpha (1 - alpha))")),
+    "alphas": (["--alphas"], dict(type=_parse_grid, help="population fractions to scan")),
+    "output": (["--output"], dict(help="output path (default stdout)")),
+    "format": (["--format"], dict(choices=("csv", "json"), default="json")),
+}
+_ALPHA_REQUIRED = {"alpha": {"required": True}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dimerfield",
         description="Two-population mean-field monomer-dimer model toolkit.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, reduced: bool = False):
-        p.add_argument("--alpha", type=float, default=None, help="population-A fraction")
-        if not reduced:
-            p.add_argument("--h", type=str, default=None, help="h_A,h_B,h_AB")
-            p.add_argument("--j", "--J", dest="j", type=str, default=None,
-                           help="9 row-major coupling entries")
-        p.add_argument("--h-ab", dest="h_ab", type=float, default=None,
-                       help="mixed-dimer field (overrides the h vector entry)")
-        p.add_argument("--j-abab", dest="j_abab", type=float, default=None,
-                       help="mixed-dimer coupling (overrides the J matrix entry)")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file overriding flags")
-        p.add_argument("--output", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--cap", type=int, default=None, help="enumeration size cap")
-        p.add_argument("--grid-res", dest="grid_resolution", type=int, default=None)
-        p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None)
-
-    p = sub.add_parser("exact", help="finite-N enumeration over an N grid")
-    common(p)
-    p.add_argument("--n", "--N", "--n-grid", dest="n_grid", type=str, default="4,8,16")
-
-    p = sub.add_parser("pressure", help="variational pressure and maximizers")
-    common(p)
-
-    p = sub.add_parser("critical", help="critical point of the reduced model")
-    common(p, reduced=True)
-
-    p = sub.add_parser("branches", help="phase-diagram scan of the reduced model")
-    common(p, reduced=True)
-    p.add_argument("--h-ab-grid", dest="h_ab_grid", type=str, default=None)
-    p.add_argument("--j-abab-grid", dest="j_abab_grid", type=str, default=None)
-
-    p = sub.add_parser("exponent", help="branch-deviation exponent scan")
-    common(p, reduced=True)
-    p.add_argument("--offsets", type=str, default=None, help="coupling offsets above J_c")
-
-    p = sub.add_parser("scaled", help="scaled-coupling critical point and d_mix scan")
-    common(p, reduced=True)
-    p.add_argument("--jprime", type=float, default=None, required=False)
-    p.add_argument("--alphas", type=str, default=None)
-
-    p = sub.add_parser("gauss", help="Gaussian-moment cross checks at J=0")
-    common(p)
-    p.add_argument("--n", "--n-grid", dest="n_grid", type=str, default="2,4,8,16,32")
-    p.add_argument("--trials", type=int, default=None, help="superadditivity triples")
-
-    p = sub.add_parser("convergence", help="finite-N pressure against the limit")
-    common(p)
-    p.add_argument("--n", "--n-grid", dest="n_grid", type=str, default="50,100,200,400")
+    for name, (_, help_text, dests, overrides) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for dest in (*dests, "output", "format"):
+            names, kwargs = _OPTIONS[dest]
+            p.add_argument(*names, dest=dest, **kwargs, **overrides.get(dest, {}))
+        p.add_argument("--config", help="key=value file overriding flags")
     return parser
 
 
-_CONVERTERS = {
-    "alpha": float,
-    "h": _parse_vec3,
-    "j": _parse_mat3,
-    "h_ab": float,
-    "j_abab": float,
-    "n_grid": lambda s: _parse_grid(s, integer=True),
-    "offsets": _parse_grid,
-    "jprime": float,
-    "alphas": _parse_grid,
-    "h_ab_grid": _parse_grid,
-    "j_abab_grid": _parse_grid,
-    "trials": int,
-    "quad_nodes": int,
-    "cap": int,
-    "grid_resolution": int,
-    "seed": int,
-    "output": str,
-    "format": str,
-}
-
-
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
+def _config_tokens(argv: list) -> list:
+    """The ``--config`` file named in argv, as ``--flag=value`` tokens."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    tokens = []
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{args.config}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _CONVERTERS:
-                raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
-            setattr(args, key, _CONVERTERS[key](value))
+            key, eq, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if not eq or key not in _OPTIONS:
+                raise ValueError(f"{path}:{lineno}: expected option_name=value, got {raw!r}")
+            tokens.append(f"{_OPTIONS[key][0][0]}={value.strip()}")
+    return tokens
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    _apply_config_file(args)
-    cfg = RunConfig(command=args.command)
-    for key in vars(cfg):
-        if key == "command":
-            continue
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if isinstance(value, str) and key in _CONVERTERS and key not in ("output", "format"):
-            value = _CONVERTERS[key](value)
-        setattr(cfg, key, value)
-    if getattr(args, "format", None):
-        cfg.format = args.format
-    h_ab = getattr(args, "h_ab", None)
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed options as the run configuration: the config path dropped,
+    and ``h_ab``/``j_abab`` folded into ``h``/``j``."""
+    del args.config
+    h_ab = vars(args).pop("h_ab", None)
     if h_ab is not None:
-        cfg.h[2] = float(h_ab)
-    j_abab = getattr(args, "j_abab", None)
+        args.h[2] = h_ab
+    j_abab = vars(args).pop("j_abab", None)
     if j_abab is not None:
-        cfg.j[2][2] = float(j_abab)
-    if cfg.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {cfg.format!r}")
-    return cfg
+        args.j[2][2] = j_abab
+    return args
+
+
+def _model_params(cfg) -> ModelParams:
+    """``gauss`` has no coupling options: its identities hold at J = 0."""
+    return ModelParams(cfg.alpha, cfg.h, getattr(cfg, "j", None))
 
 
 def _fmt(value) -> str:
@@ -284,8 +223,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_exact(cfg: RunConfig):
-    params = cfg.model_params()
+def _run_exact(cfg):
+    params = _model_params(cfg)
     rows = []
     for n in cfg.n_grid:
         log_z, s_a, s_b, s_ab, mix = model._ensemble_sums(n, params, cfg.cap)[:5]
@@ -303,8 +242,8 @@ def _run_exact(cfg: RunConfig):
     return rows, {}
 
 
-def _run_pressure(cfg: RunConfig):
-    params = cfg.model_params()
+def _run_pressure(cfg):
+    params = _model_params(cfg)
     maximizers = vari.maximize_psi(params, grid_resolution=cfg.grid_resolution)
     p = max(v for _, v in maximizers)
     rows = []
@@ -329,14 +268,8 @@ def _run_pressure(cfg: RunConfig):
     return rows, {"p": p, "n_maximizers": len(maximizers)}
 
 
-def _require_alpha(cfg: RunConfig) -> float:
-    if cfg.alpha is None:
-        raise ValueError("--alpha is required for this command")
-    return cfg.alpha
-
-
-def _run_critical(cfg: RunConfig):
-    alpha = _require_alpha(cfg)
+def _run_critical(cfg):
+    alpha = cfg.alpha
     cp = crit.critical_point(alpha)
     r2, r1, r0 = crit.critical_residuals(cp)
     rows = [
@@ -357,8 +290,8 @@ def _run_critical(cfg: RunConfig):
     return rows, summary
 
 
-def _run_branches(cfg: RunConfig):
-    alpha = _require_alpha(cfg)
+def _run_branches(cfg):
+    alpha = cfg.alpha
     cp = crit.critical_point(alpha)
     h_grid = cfg.h_ab_grid or [cp.h_c + dh for dh in np.linspace(-0.5, 0.5, 5)]
     j_grid = cfg.j_abab_grid or [cp.j_c * s for s in (0.5, 1.0, 1.5, 2.0)]
@@ -379,8 +312,8 @@ def _run_branches(cfg: RunConfig):
     return rows, {"d_c": cp.d_c, "h_c": cp.h_c, "j_c": cp.j_c}
 
 
-def _run_exponent(cfg: RunConfig):
-    alpha = _require_alpha(cfg)
+def _run_exponent(cfg):
+    alpha = cfg.alpha
     cp = crit.critical_point(alpha)
     offsets = cfg.offsets or list(np.geomspace(0.005 * cp.j_c, 0.05 * cp.j_c, 13))
     scan = crit.exponent_scan(alpha, offsets)
@@ -407,9 +340,7 @@ def _run_exponent(cfg: RunConfig):
     return rows, summary
 
 
-def _run_scaled(cfg: RunConfig):
-    if cfg.jprime is None:
-        raise ValueError("--jprime is required for the scaled command")
+def _run_scaled(cfg):
     sc = crit.scaled_coupling_critical(cfg.jprime)
     alphas = cfg.alphas or list(sc.alpha_c * (1.0 + np.geomspace(0.02, 0.2, 9)))
     scan = crit.d_mix_scan(cfg.jprime, alphas)
@@ -438,8 +369,8 @@ def _run_scaled(cfg: RunConfig):
     return rows, summary
 
 
-def _run_gauss(cfg: RunConfig):
-    params = cfg.model_params()
+def _run_gauss(cfg):
+    params = _model_params(cfg)
     gauss.weight_matrix(params.h)
     rows = []
     for n in cfg.n_grid:
@@ -490,8 +421,8 @@ def _run_gauss(cfg: RunConfig):
     return rows, {}
 
 
-def _run_convergence(cfg: RunConfig):
-    params = cfg.model_params()
+def _run_convergence(cfg):
+    params = _model_params(cfg)
     p = vari.pressure(params, grid_resolution=cfg.grid_resolution)
     ns = sorted(cfg.n_grid)
     sums = [model._ensemble_sums(n, params, cfg.cap) for n in ns]
@@ -515,15 +446,29 @@ def _run_convergence(cfg: RunConfig):
     return rows, {"p": p, "c_fit": c_fit}
 
 
+_MODEL = ("alpha", "h", "j", "h_ab", "j_abab")
+
+#: name -> (runner, help, the options the runner reads, per-command keywords).
+#: Every command also takes --output, --format and --config.
 _COMMANDS = {
-    "exact": _run_exact,
-    "pressure": _run_pressure,
-    "critical": _run_critical,
-    "branches": _run_branches,
-    "exponent": _run_exponent,
-    "scaled": _run_scaled,
-    "gauss": _run_gauss,
-    "convergence": _run_convergence,
+    "exact": (_run_exact, "finite-N enumeration over an N grid",
+              (*_MODEL, "n_grid", "cap"), {"n_grid": {"default": "4,8,16"}}),
+    "pressure": (_run_pressure, "variational pressure and maximizers",
+                 (*_MODEL, "grid_resolution"), {}),
+    "critical": (_run_critical, "critical point of the reduced model",
+                 ("alpha",), _ALPHA_REQUIRED),
+    "branches": (_run_branches, "phase-diagram scan of the reduced model",
+                 ("alpha", "h_ab_grid", "j_abab_grid"), _ALPHA_REQUIRED),
+    "exponent": (_run_exponent, "branch-deviation exponent scan",
+                 ("alpha", "offsets"), _ALPHA_REQUIRED),
+    "scaled": (_run_scaled, "scaled-coupling critical point and d_mix scan",
+               ("jprime", "alphas"), {}),
+    "gauss": (_run_gauss, "Gaussian-moment cross checks at J=0",
+              ("alpha", "h", "h_ab", "n_grid", "cap", "quad_nodes", "seed", "trials"),
+              {"n_grid": {"default": "2,4,8,16,32"}}),
+    "convergence": (_run_convergence, "finite-N pressure against the limit",
+                    (*_MODEL, "n_grid", "cap", "grid_resolution"),
+                    {"n_grid": {"default": "50,100,200,400"}}),
 }
 
 
@@ -537,8 +482,8 @@ def _write_csv(rows, fh) -> None:
         writer.writerow([_fmt(row[c]) for c in columns])
 
 
-def _write_json(cfg: RunConfig, rows, summary, fh) -> None:
-    payload = {"config": asdict(cfg), "summary": summary, "rows": rows}
+def _write_json(cfg, rows, summary, fh) -> None:
+    payload = {"config": vars(cfg), "summary": summary, "rows": rows}
     json.dump(payload, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
@@ -549,36 +494,30 @@ def _emit_error(category: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        cfg = _resolve(_build_parser().parse_args(argv + _config_tokens(argv)))
+        if cfg.output and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.output))):
+            raise ValueError(f"--output {cfg.output!r}: no such directory")
+        rows, summary = _COMMANDS[cfg.command][0](cfg)
+        buffer = io.StringIO()
+        if cfg.format == "csv":
+            _write_csv(rows, buffer)
+        else:
+            _write_json(cfg, rows, summary, buffer)
+        if cfg.output:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(buffer.getvalue())
+        else:
+            sys.stdout.write(buffer.getvalue())
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        cfg = _resolve_config(args)
-    except (ValueError, OSError) as exc:
-        _emit_error("validation", exc)
-        return 2
-    try:
-        rows, summary = _COMMANDS[cfg.command](cfg)
-    except ValueError as exc:
-        _emit_error("validation", exc)
-        return 2
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _emit_error("numerical", exc)
         return 3
-
-    buffer = io.StringIO()
-    if cfg.format == "csv":
-        _write_csv(rows, buffer)
-    else:
-        _write_json(cfg, rows, summary, buffer)
-    text = buffer.getvalue()
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
+        _emit_error("validation", exc)
+        return 2
     return 0
 
 

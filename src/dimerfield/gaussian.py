@@ -24,14 +24,12 @@ statements into machine-checkable numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from .model import split_sizes
-
-_HERME_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 #: Default size cap for the quadrature evaluations.
 DEFAULT_MOMENT_CAP = 200
@@ -86,16 +84,14 @@ class GaussianEstimate:
     method: str
 
 
+@cache
 def _hermegauss(n: int):
-    if n not in _HERME_CACHE:
-        _HERME_CACHE[n] = np.polynomial.hermite_e.hermegauss(n)
-    return _HERME_CACHE[n]
+    return np.polynomial.hermite_e.hermegauss(n)
 
 
+@cache
 def _legendre(n: int):
-    if n not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[n] = roots_legendre(n)
-    return _LEGENDRE_CACHE[n]
+    return roots_legendre(n)
 
 
 def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:

@@ -48,6 +48,19 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def quadratic_form(j, x, y, z):
+    """d.J.d for d = (x, y, z) given by broadcastable components.
+
+    Reads the upper triangle of ``j`` only, so pass the symmetric part.
+    """
+    return (
+        j[0, 0] * x * x
+        + j[1, 1] * y * y
+        + j[2, 2] * z * z
+        + 2.0 * (j[0, 1] * x * y + j[0, 2] * x * z + j[1, 2] * y * z)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """Full parameter set: population fraction, dimer fields, couplings.

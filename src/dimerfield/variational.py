@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from .params import TIE_TOL, DimerDensities, ModelParams
+from .params import TIE_TOL, DimerDensities, ModelParams, quadratic_form
 
 _REGION_TOL = 1e-12
 _TINY = 1e-300
@@ -300,13 +300,7 @@ def fixed_point_residual(params: ModelParams, d: DimerDensities) -> float:
 def _psi_arrays(d_a, d_b, d_ab, params: ModelParams):
     """Vectorized psi = s + h.d + (1/2) d.J_sym.d over broadcastable arrays."""
     h = params.h
-    js = params.j_sym
-    quad = (
-        js[0, 0] * d_a * d_a
-        + js[1, 1] * d_b * d_b
-        + js[2, 2] * d_ab * d_ab
-        + 2.0 * (js[0, 1] * d_a * d_b + js[0, 2] * d_a * d_ab + js[1, 2] * d_b * d_ab)
-    )
+    quad = quadratic_form(params.j_sym, d_a, d_b, d_ab)
     lin = h[0] * d_a + h[1] * d_b + h[2] * d_ab
     return _entropy_arrays(d_a, d_b, d_ab, params.alpha) + lin + 0.5 * quad
 

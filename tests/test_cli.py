@@ -2,7 +2,9 @@
 
 import io
 import json
+import shlex
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +184,147 @@ class TestExitCodes:
     def test_missing_jprime(self):
         code, _ = run_cli(["scaled"])
         assert code == 2
+
+    def test_output_directory_missing(self, tmp_path, monkeypatch, capsys):
+        # rejected before any enumeration runs
+        def boom(*args, **kwargs):
+            raise AssertionError("computed before checking --output")
+
+        monkeypatch.setattr(cli.model, "_ensemble_sums", boom)
+        target = tmp_path / "missing" / "out.json"
+        code, _ = run_cli(["exact", "--n", "4", "--output", str(target)])
+        assert code == 2
+        assert not target.parent.exists()
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "validation"
+
+    def test_output_not_writable(self, tmp_path, capsys):
+        # a directory passes the up-front check and fails at the write
+        code, _ = run_cli(["exact", "--n", "4", "--output", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "validation"
+
+
+# The options each command's runner reads, by config-file key.  Every other
+# option must be rejected: a flag the command would ignore is an error.
+READS = {
+    "exact": {"alpha", "h", "j", "h_ab", "j_abab", "n_grid", "cap"},
+    "pressure": {"alpha", "h", "j", "h_ab", "j_abab", "grid_resolution"},
+    "critical": {"alpha"},
+    "branches": {"alpha", "h_ab_grid", "j_abab_grid"},
+    "exponent": {"alpha", "offsets"},
+    "scaled": {"jprime", "alphas"},
+    "gauss": {"alpha", "h", "h_ab", "n_grid", "cap", "quad_nodes", "seed", "trials"},
+    "convergence": {"alpha", "h", "j", "h_ab", "j_abab", "n_grid", "cap", "grid_resolution"},
+}
+# config key -> (flag, a valid value)
+OPTIONS = {
+    "alpha": ("--alpha", "0.02"),
+    "h": ("--h", "0,0,-1"),
+    "j": ("--j", "1,0,0,0,1,0,0,0,1"),
+    "h_ab": ("--h-ab", "-2"),
+    "j_abab": ("--j-abab", "5"),
+    "n_grid": ("--n", "100"),
+    "cap": ("--cap", "100"),
+    "grid_resolution": ("--grid-res", "16"),
+    "quad_nodes": ("--quad-nodes", "100"),
+    "seed": ("--seed", "1"),
+    "trials": ("--trials", "1"),
+    "h_ab_grid": ("--h-ab-grid", "5"),
+    "j_abab_grid": ("--j-abab-grid", "500"),
+    "offsets": ("--offsets", "2,4"),
+    "jprime": ("--jprime", "160000"),
+    "alphas": ("--alphas", "0.0105"),
+}
+# a fast run of each command, reading only its own options
+BASE = {
+    "exact": ["exact", "--n", "4"],
+    "pressure": ["pressure", "--grid-res", "16"],
+    "critical": ["critical", "--alpha", "0.1"],
+    "branches": ["branches", "--alpha", "0.1", "--h-ab-grid", "-0.5", "--j-abab-grid", "60"],
+    "exponent": ["exponent", "--alpha", "1e-3", "--offsets", "10,20,40"],
+    "scaled": ["scaled", "--jprime", "160000", "--alphas", "0.0105"],
+    "gauss": ["gauss", "--h", "0,0,-1", "--n", "2", "--trials", "1"],
+    "convergence": ["convergence", "--n", "50", "--grid-res", "16"],
+}
+UNREAD = [(cmd, key) for cmd in READS for key in OPTIONS if key not in READS[cmd]]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command,key", UNREAD)
+    def test_unread_flag_rejected(self, command, key):
+        flag, value = OPTIONS[key]
+        assert run_cli([*BASE[command], f"{flag}={value}"])[0] == 2
+
+    @pytest.mark.parametrize("command,key", UNREAD)
+    def test_unread_config_key_rejected(self, command, key, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {OPTIONS[key][1]}\n")
+        assert run_cli([*BASE[command], "--config", str(cfg)])[0] == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scaled", "--jprime", "160000", "--alpha", "0.9"],  # not --alphas
+            ["branches", "--alpha", "0.1", "--h-ab", "5"],  # not --h-ab-grid
+            ["exact", "--n", "4", "--see", "1"],
+            ["gauss", "--h", "0,0,-1", "--J", "1,0,0,0,1,0,0,0,1"],
+        ],
+    )
+    def test_abbreviations_and_aliases_rejected(self, args):
+        assert run_cli(args)[0] == 2
+
+    @pytest.mark.parametrize("command", ["critical", "branches", "exponent"])
+    def test_alpha_required(self, command, tmp_path):
+        args = BASE[command][:1] + BASE[command][3:]  # without --alpha and its value
+        assert run_cli(args)[0] == 2
+        # a config file may supply it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1e-3\n")
+        assert run_cli([*args, "--config", str(cfg)])[0] == 0
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_config_keys_are_own_options(self, command):
+        code, out = run_cli(BASE[command])
+        assert code == 0
+        folded = READS[command] - {"h_ab", "j_abab"}  # folded into h and J
+        assert set(json.loads(out)["config"]) == folded | {"command", "output", "format"}
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_config_file_matches_flags(self, command, tmp_path):
+        # every option a command reads, given as a config key, parses as the flag would
+        own = [key for key in OPTIONS if key in READS[command]]
+        flags = [f"{OPTIONS[key][0]}={OPTIONS[key][1]}" for key in own]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {OPTIONS[key][1]}\n" for key in own))
+        by_flags = run_cli([*BASE[command], *flags])
+        by_file = run_cli([*BASE[command], "--config", str(cfg)])
+        assert by_flags[0] == 0
+        assert by_file == by_flags
+
+    def test_folded_fields(self):
+        code, out = run_cli(["exact", "--n", "4", "--h=0,0,-1", "--h-ab", "0.5", "--j-abab", "2"])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["h"] == [0.0, 0.0, 0.5]
+        assert config["j"] == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("dimerfield ")
+    ]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("args", readme_commands(), ids=lambda args: " ".join(args))
+    def test_documented_command_runs(self, args):
+        assert run_cli(args)[0] == 0
+
+    def test_every_command_documented(self):
+        assert {args[0] for args in readme_commands()} == set(READS)
