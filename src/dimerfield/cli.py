@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for dest in (*dests, "output", "format"):
             names, kwargs = _OPTIONS[dest]
-            p.add_argument(*names, dest=dest, **kwargs, **overrides.get(dest, {}))
+            p.add_argument(*names, dest=dest, **{**kwargs, **overrides.get(dest, {})})
         p.add_argument("--config", help="key=value file overriding flags")
     return parser
 
@@ -465,7 +465,7 @@ _COMMANDS = {
                ("jprime", "alphas"), {}),
     "gauss": (_run_gauss, "Gaussian-moment cross checks at J=0",
               ("alpha", "h", "h_ab", "n_grid", "cap", "quad_nodes", "seed", "trials"),
-              {"n_grid": {"default": "2,4,8,16,32"}}),
+              {"n_grid": {"default": "2,4,8,16,32"}, "h": {"default": "0,0,-1"}}),
     "convergence": (_run_convergence, "finite-N pressure against the limit",
                     (*_MODEL, "n_grid", "cap", "grid_resolution"),
                     {"n_grid": {"default": "50,100,200,400"}}),

@@ -26,6 +26,7 @@ in extended precision to certify the defining residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +69,13 @@ def _checked_gap(d, limit, alpha, name):
     return u
 
 
+# Brent evaluates the residuals below on Python floats, where ``math`` gives
+# the same bits as numpy's scalar ufuncs without their per-call overhead;
+# arrays and extended precision take the numpy path.
 def _pos_root(u):
     # 2u / (1 + sqrt(1+4u)) is the cancellation-free form of (-1+sqrt(1+4u))/2
+    if isinstance(u, float):
+        return 2.0 * u / (1.0 + math.sqrt(1.0 + 4.0 * u))
     root = 2.0 * u / (1.0 + np.sqrt(1.0 + 4.0 * u))
     return root if root.ndim else root[()]
 
@@ -111,7 +117,8 @@ def f_alpha(d, alpha):
 
 def _f_raw(d, alpha):
     x, y = _xy(d, alpha)
-    return np.log(d) - np.log(x) - np.log(y)
+    log = math.log if isinstance(d, float) else np.log
+    return log(d) - log(x) - log(y)
 
 
 def f_alpha_d1(d, alpha):

@@ -24,10 +24,9 @@ statements into machine-checkable numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .model import split_sizes
 
@@ -91,7 +90,24 @@ def _hermegauss(n: int):
 
 @cache
 def _legendre(n: int):
-    return roots_legendre(n)
+    return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=256)
+def _jacobi(n: int, power: float):
+    """Gauss-Jacobi rule for the weight (1 + t)^power on [-1, 1].
+
+    The only use of scipy, imported here: Golub-Welsch weights from numpy's
+    eigensolver lose the small weights at large power, which the 1e-13
+    agreement of ``z_star`` cannot afford.  The cache is bounded because the
+    power, alpha N, takes a new value with every size.
+    """
+    from scipy.special import roots_jacobi
+
+    t, w = roots_jacobi(n, 0.0, power)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:
@@ -192,7 +208,7 @@ def _axis_rule(power: float, sigma: float, nodes: int):
     top = peak + 12.0 * sigma
     bottom = -12.0 * sigma
     if bottom <= -1.0:
-        t, w = roots_jacobi(nodes, 0.0, power)
+        t, w = _jacobi(nodes, power)
         half = 0.5 * (top + 1.0)
         xi = -1.0 + (t + 1.0) * half
         logw = np.log(w) + (power + 1.0) * np.log(half)

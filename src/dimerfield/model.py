@@ -18,8 +18,9 @@ that individual weights span hundreds of orders of magnitude.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from ._kernels import LOG2, partition_sums
 from .params import DimerCounts, ModelParams, PopulationSizes
@@ -66,8 +67,8 @@ def log_config_count(counts: DimerCounts, sizes: PopulationSizes) -> float:
     terms = [sizes.n_a, sizes.n_b]
     minus = [m_a, m_b, counts.d_a, counts.d_b, counts.d_ab]
     return float(
-        sum(gammaln(t + 1.0) for t in terms)
-        - sum(gammaln(t + 1.0) for t in minus)
+        sum(math.lgamma(t + 1.0) for t in terms)
+        - sum(math.lgamma(t + 1.0) for t in minus)
         - (counts.d_a + counts.d_b) * LOG2
     )
 
@@ -89,7 +90,7 @@ def _ensemble_sums(n: int, params: ModelParams, cap: int):
             f"n={n} exceeds the enumeration cap {cap}, beyond which the pruned "
             f"class sum is untested -- raise cap explicitly if you mean it"
         )
-    lgf = gammaln(np.arange(n + 2, dtype=np.float64) + 1.0)
+    lgf = np.array([math.lgamma(k + 1.0) for k in range(n + 2)])
     return partition_sums(
         sizes.n_a,
         sizes.n_b,

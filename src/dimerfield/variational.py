@@ -29,18 +29,74 @@ activities use (J + J^T)/2 throughout, which keeps "stationary point" and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import TIE_TOL, DimerDensities, ModelParams, quadratic_form
 
 _REGION_TOL = 1e-12
 _TINY = 1e-300
+#: Brent's tolerances and iteration cap (those of scipy's ``brentq`` with
+#: xtol=1e-300, rtol=8.9e-16): the bracket closes to float64 rounding.
+_XTOL, _RTOL, _MAXITER = 1e-300, 8.9e-16, 100
 
 
 def _bracketed_root(fn, a, b) -> float:
-    """Brent root of fn on [a, b] (signs differ at the ends) to float64 rounding."""
-    return brentq(fn, a, b, xtol=1e-300, rtol=8.9e-16)
+    """Root of fn on [a, b] (signs differ at the ends) to float64 rounding.
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) in the form of scipy's ``brentq``, step for
+    step: inverse quadratic or secant steps while they shrink the bracket
+    fast enough, bisection otherwise.  ValueError when fn(a) and fn(b) share
+    a sign or fn returns NaN; RuntimeError after 100 iterations.
+    """
+
+    def call(x):
+        fx = float(fn(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # inf or NaN in C arithmetic, so a bisection
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, value is {xcur!r}")
 
 
 def log_gamma_fn(x):

@@ -75,6 +75,12 @@ class TestGaussCommand:
         assert kinds == {"wick", "ratio", "superadd"}
         assert all(r["holds"] for r in data["rows"] if r["check"] != "ratio")
 
+    def test_bare_command_runs(self):
+        # the shared default h = (0, 0, 0) is not positive definite
+        code, out = run_cli(["gauss"])
+        assert code == 0
+        assert json.loads(out)["config"]["h"] == [0.0, 0.0, -1.0]
+
 
 class TestConvergenceCommand:
     def test_envelope_columns(self):

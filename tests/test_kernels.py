@@ -1,11 +1,11 @@
 """The pruned enumeration kernel against a plain class sum over every class.
 
 The plain sum below evaluates every admissible class with the kernel's own
-per-class formula, in one numpy array, and shares none of the kernel's
-blocking, ordering, pruning or streaming log-sum-exp.  Agreement to 1e-13
-relative therefore checks that the pruned sum drops nothing that float64
-can see; the formula itself is checked against independent oracles in
-``test_model.py``.
+per-class formula, in one extended-precision numpy array, and shares none
+of the kernel's planes, blocking, ordering, pruning or streaming
+log-sum-exp.  Agreement to 1e-13 relative therefore checks that the pruned
+sum drops nothing that float64 can see; the formula itself is checked
+against independent oracles in ``test_model.py``.
 """
 
 import numpy as np
@@ -42,6 +42,9 @@ def _classes(n_a, n_b):
 
 
 def _terms(n_a, n_b, log_n, inv_n, lgf, h, j, a, b, c):
+    def lg(x):  # the counts may come as extended-precision floats
+        return lgf[x.astype(int)]
+
     quad = (
         j[0, 0] * a * a
         + j[1, 1] * b * b
@@ -51,11 +54,11 @@ def _terms(n_a, n_b, log_n, inv_n, lgf, h, j, a, b, c):
     return (
         lgf[n_a]
         + lgf[n_b]
-        - lgf[n_a - 2 * a - c]
-        - lgf[n_b - 2 * b - c]
-        - lgf[a]
-        - lgf[b]
-        - lgf[c]
+        - lg(n_a - 2 * a - c)
+        - lg(n_b - 2 * b - c)
+        - lg(a)
+        - lg(b)
+        - lg(c)
         - (a + b) * LOG2
         - (a + b + c) * log_n
         + h[0] * a
@@ -66,15 +69,20 @@ def _terms(n_a, n_b, log_n, inv_n, lgf, h, j, a, b, c):
 
 
 def plain_sums(n_a, n_b, log_n, inv_n, lgf, h, j):
-    """(log Z, <D_A>, <D_B>, <D_AB>, <D_AB/|D|>) over every admissible class."""
-    a, b, c = _classes(n_a, n_b)
-    t = _terms(n_a, n_b, log_n, inv_n, lgf, h, j, a, b, c)
+    """(log Z, <D_A>, <D_B>, <D_AB>, <D_AB/|D|>) over every admissible class.
+
+    Summed in extended precision on the same lgf table: each term adds pieces
+    of size N log N and |J| N, whose float64 rounding alone moves the means
+    by up to 1e-13 relative, as much as REL allows.
+    """
+    a, b, c = (x.astype(np.longdouble) for x in _classes(n_a, n_b))
+    t = _terms(n_a, n_b, np.longdouble(log_n), inv_n, lgf.astype(np.longdouble), h, j, a, b, c)
     top = t.max()
     w = np.exp(t - top)
     z = w.sum()
     tot = a + b + c
     mix = np.where(tot > 0, c / np.maximum(tot, 1), 0.0)
-    return top + np.log(z), (w @ a) / z, (w @ b) / z, (w @ c) / z, (w @ mix) / z
+    return [float(v) for v in (top + np.log(z), (w @ a) / z, (w @ b) / z, (w @ c) / z, (w @ mix) / z)]
 
 
 def assert_matches_plain_sum(n, params):
@@ -143,6 +151,16 @@ def test_fixed_cases_match_plain_sum(case):
         # dropped: on the coexistence line two maxima share the weight
         assert out[6] > -np.inf
         assert out[5] < admissible_count(split_sizes(n, params.alpha))
+
+
+@pytest.mark.parametrize("case, n", [("ferro_j_30", 200), ("ferro_j_30", 400), ("coexistence_two_peaks", 400)])
+def test_means_match_extended_precision_sum(case, n):
+    # the kernel forms each cube's terms from extended-precision planes, so
+    # the means keep float64 accuracy although the terms' pieces are large
+    args = _kernel_args(n, FIXED[case][1]())
+    out = partition_sums(*args)
+    for got, want in zip(out[1:4], plain_sums(*args)[1:4]):
+        assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
 def assert_no_class_above_its_cube_bound(n, params):
