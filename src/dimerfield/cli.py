@@ -145,7 +145,10 @@ _OPTIONS = {
     "j_abab": (["--j-abab"], dict(type=float, help="mixed-dimer coupling (sets J[AB,AB])")),
     "n_grid": (["--n", "--N", "--n-grid"], dict(type=_parse_int_grid, help="system sizes N")),
     "cap": (["--cap"], dict(type=int, default=model.DEFAULT_ENUMERATION_CAP, help="largest N")),
-    "grid_resolution": (["--grid-res"], dict(type=int, default=64, help="psi grid points/axis")),
+    "grid_resolution": (
+        ["--grid-res"],
+        dict(type=int, default=64, help="psi grid points/axis (skipped when psi is certified concave)"),
+    ),
     "quad_nodes": (["--quad-nodes"], dict(type=int, default=200, help="quadrature nodes")),
     "seed": (["--seed"], dict(type=int, default=0, help="seed of the superadditivity draws")),
     "trials": (["--trials"], dict(type=int, default=10, help="superadditivity triples")),

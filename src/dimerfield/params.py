@@ -12,6 +12,7 @@ Conventions used package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,9 +85,12 @@ class ModelParams:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "J", J)
 
-    @property
+    @cached_property
     def j_sym(self) -> np.ndarray:
-        return 0.5 * (self.J + self.J.T)
+        """(J + J^T)/2, computed on first use and kept read-only."""
+        j_sym = 0.5 * (self.J + self.J.T)
+        j_sym.setflags(write=False)
+        return j_sym
 
     @classmethod
     def reduced(cls, alpha: float, h_ab: float, j_abab: float) -> "ModelParams":

@@ -10,16 +10,17 @@ activities w = exp(h + J d).  This module evaluates psi, its gradient and
 its closed-form Hessian, solves the decoupled (J = 0) system in closed-ish
 form, iterates the damped fixed point for general J, and maximizes psi.
 
-The maximizer scans a grid over the region for starts, moves each start
-inside by one step of the self-consistency map and refines it by
-safeguarded Newton on grad psi = 0: saddle-free steps through the
-eigen-decomposed 3x3 Hessian (scaled to unit entropy diagonal, so densities
-many decades apart stay resolved), halved until the iterate stays inside
-the region and psi does not drop.  Stationary points are classified by their
-Hessian eigenvalues, and maxima are told apart by basin (psi dips along the
-segment between two distinct ones) rather than by value ties, which keeps
-the answer right exactly at the critical point, where psi is flat to fourth
-order.
+The maximizer needs no search when a curvature bound certifies psi strictly
+concave: it starts once from d = 0.  Otherwise a grid over the region, summed
+from two planes of psi, gives the starts.  It moves each start inside by one
+step of the self-consistency map and refines it by safeguarded Newton on
+grad psi = 0: saddle-free steps through the eigen-decomposed 3x3 Hessian
+(scaled to unit entropy diagonal, so densities many decades apart stay
+resolved), halved until the iterate stays inside the region and psi does not
+drop.  Stationary points are classified by their Hessian eigenvalues, and
+maxima are told apart by basin (psi dips along the segment between two
+distinct ones) rather than by value ties, which keeps the answer right
+exactly at the critical point, where psi is flat to fourth order.
 
 Note on asymmetric couplings: the energy is a quadratic form, so only the
 symmetric part of J matters; the gradient, the Hessian and the fixed-point
@@ -362,21 +363,40 @@ def _psi_arrays(d_a, d_b, d_ab, params: ModelParams):
 
 
 def _psi_grid(params: ModelParams, res: int):
-    """psi on a grid filling the hard-core region (boundary included)."""
+    """psi on a grid filling the hard-core region (boundary included).
+
+    The d_A and d_B axes span the room d_AB leaves, and the entropy has no
+    d_A-d_B term, so psi[k, i, j] = P_A[k, i] + P_B[k, j] + J01 d_A d_B sums
+    two planes.  Returns (d_A[k, i], d_B[k, j], d_AB[k], psi[k, i, j]).
+    """
     alpha = params.alpha
-    dab_vals = np.linspace(0.0, min(alpha, 1.0 - alpha), res)
-    points = np.empty((res * res * res, 3))
-    values = np.empty(res * res * res)
-    block = res * res
-    for k, dab in enumerate(dab_vals):
-        da = np.linspace(0.0, 0.5 * (alpha - dab), res)[:, None]
-        db = np.linspace(0.0, 0.5 * (1.0 - alpha - dab), res)[None, :]
-        sl = slice(k * block, (k + 1) * block)
-        points[sl, 0] = np.broadcast_to(da, (res, res)).ravel()
-        points[sl, 1] = np.broadcast_to(db, (res, res)).ravel()
-        points[sl, 2] = dab
-        values[sl] = _psi_arrays(da, db, dab, params).ravel()
-    return points, values
+    dab = np.linspace(0.0, min(alpha, 1.0 - alpha), res)
+    # C order, so that the cube summed from the planes is C order too
+    da = np.ascontiguousarray(np.linspace(0.0, 0.5 * (alpha - dab), res, axis=1))
+    db = np.ascontiguousarray(np.linspace(0.0, 0.5 * (1.0 - alpha - dab), res, axis=1))
+    dab = dab[:, None]
+    p_a = _psi_arrays(da, 0.0, dab, params)
+    p_b = _psi_arrays(0.0, db, dab, params) - _psi_arrays(0.0, 0.0, dab, params)
+    values = p_a[:, :, None] + p_b[:, None, :]
+    if params.j_sym[0, 1] != 0.0:
+        values += params.j_sym[0, 1] * da[:, :, None] * db[:, None, :]
+    return da, db, dab[:, 0], values
+
+
+def _extent(alpha) -> np.ndarray:
+    """Largest d_A, d_B and d_AB on the hard-core region."""
+    return np.array([0.5 * alpha, 0.5 * (1.0 - alpha), min(alpha, 1.0 - alpha)])
+
+
+def _concave(params: ModelParams) -> bool:
+    """True when a curvature bound proves psi strictly concave on the region.
+
+    Each density is at most its extent e (alpha/2, (1-alpha)/2, min(alpha,
+    1-alpha)), so the entropy Hessian -diag(1/d) - a a^T/m_A - b b^T/m_B is
+    at most -diag(1/e); psi is concave when e^1/2 J_sym e^1/2 < 1.
+    """
+    root = np.sqrt(_extent(params.alpha))
+    return bool(np.linalg.eigvalsh(root[:, None] * params.j_sym * root)[-1] < 1.0 - 1e-9)
 
 
 #: Newton iterations allowed per start.  A non-degenerate maximum converges
@@ -470,17 +490,42 @@ def _same_basin(params: ModelParams, a, b) -> bool:
     return bool(vals[1:-1].min() >= low - _PSI_SLACK * (1.0 + abs(low)))
 
 
+def _grid_starts(params: ModelParams, res: int) -> np.ndarray:
+    """Up to _N_STARTS best grid points, each in its own patch of the grid."""
+    da, db, dab, values = _psi_grid(params, res)
+    flat = values.ravel()
+    k = min(40 * _N_STARTS, flat.size)
+    top = np.argpartition(flat, -k)[-k:]
+    kk, ii, jj = np.unravel_index(top[np.argsort(flat[top])[::-1]], values.shape)
+    points = np.column_stack([da[kk, ii], db[kk, jj], dab[kk]])
+    # greedy in order of value: the best point left is a start, and the
+    # points within thin_radius of it go; distances are per axis in units of
+    # that axis' extent, so separated basins survive even when alpha (hence
+    # the region) is tiny
+    scale = _extent(params.alpha)
+    thin_radius = 3.0 / (res - 1)
+    starts = []
+    left = np.ones(len(points), dtype=bool)
+    while left.any() and len(starts) < _N_STARTS:
+        starts.append(points[np.argmax(left)])
+        left &= np.abs((points - starts[-1]) / scale).max(axis=1) > thin_radius
+    return np.array(starts)
+
+
 def maximize_psi(
     params: ModelParams, grid_resolution: int = 64
 ) -> list[tuple[DimerDensities, float]]:
     """All global maximizers of psi over the hard-core region.
 
-    A coarse grid (boundary faces included) locates candidate basins, and
-    the best points, thinned so that each start sits in its own patch of
-    the grid, become up to ``_N_STARTS`` starts.  One step of the
-    self-consistency map moves each start inside the region; a density it
-    leaves below the smallest normal double (a field below about -705) is
-    frozen at exactly 0, where 1/d would overflow.  Safeguarded Newton with
+    When the bound of ``_concave`` certifies psi strictly concave (every
+    input with J_sym negative semidefinite, and many more), the one
+    maximizer is interior and d = 0 is the only start.  Otherwise a coarse
+    grid (boundary faces included) locates candidate basins, and the best
+    points, thinned so that each start sits in its own patch of the grid,
+    become up to ``_N_STARTS`` starts.  One step of the self-consistency
+    map moves each start inside the region; a density it leaves below the
+    smallest normal double (a field below about -705) is frozen at exactly
+    0, where 1/d would overflow.  Safeguarded Newton with
     the closed-form Hessian refines the other components to a stationary
     point, and points whose Hessian has a positive eigenvalue are dropped.
     The maxima within ``TIE_TOL`` of the best value are returned (the
@@ -496,22 +541,9 @@ def maximize_psi(
     """
     if grid_resolution < 4:
         raise ValueError("grid_resolution must be at least 4")
-    points, values = _psi_grid(params, grid_resolution)
     alpha = params.alpha
-    k = min(40 * _N_STARTS, values.size)
-    top = np.argpartition(values, -k)[-k:]
-    order = top[np.argsort(values[top])[::-1]]
-    # candidate thinning works per axis in units of that axis' extent, so
-    # separated basins survive even when alpha (hence the region) is tiny
-    scale = np.array([0.5 * alpha, 0.5 * (1.0 - alpha), min(alpha, 1.0 - alpha)])
-    thin_radius = 3.0 / (grid_resolution - 1)
-    starts = points[order[:1]]
-    for idx in order[1:]:
-        if len(starts) >= _N_STARTS:
-            break
-        p = points[idx]
-        if np.abs((p - starts) / scale).max(axis=1).min() > thin_radius:
-            starts = np.vstack([starts, p])
+    # the map step takes d = 0 to the zero-coupling solution
+    starts = np.zeros((1, 3)) if _concave(params) else _grid_starts(params, grid_resolution)
 
     candidates = []
     for p in starts:
@@ -541,5 +573,6 @@ def maximize_psi(
 
 
 def pressure(params: ModelParams, grid_resolution: int = 64) -> float:
-    """Limiting pressure density p = max psi over the hard-core region."""
+    """Limiting pressure density p = max psi over the hard-core region; the
+    grid of ``maximize_psi`` is skipped when psi is certified concave."""
     return max(v for _, v in maximize_psi(params, grid_resolution=grid_resolution))

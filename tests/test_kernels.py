@@ -10,7 +10,7 @@ against independent oracles in ``test_model.py``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -112,7 +112,12 @@ def test_active_backend_named():
     assert active_backend() == "numpy"
 
 
+# Which examples Hypothesis draws here depends on the other modules
+# collected, so the known hard draws are pinned: a float64 class sum is off
+# by 9.7e-14 and 1.2e-13 relative on these two.
 @given(alpha=st.floats(0.05, 0.95), n=st.integers(2, 300), h=fields, j=couplings)
+@example(alpha=0.91796875, n=219, h=[3.0, -2.0, 0.0], j=_symmetric([16.0, 0.5, 0.0, 1.0, 0.0, 1.0]))
+@example(alpha=0.921875, n=220, h=[3.0, -2.0, 0.0], j=_symmetric([13.0, 0.5, 0.0, 1.0, 0.0, 1.0]))
 def test_matches_plain_sum(alpha, n, h, j):
     assert_matches_plain_sum(n, ModelParams(alpha=alpha, h=h, J=j))
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimerfield import (
     DimerDensities,
@@ -105,6 +107,15 @@ class TestEnergy:
         J[2, 2] = 4.0
         params = ModelParams(alpha=0.5, J=J)
         assert energy(DimerDensities(0, 0, 0.1), params) == pytest.approx(-0.02)
+
+
+    def test_symmetric_part_computed_once(self):
+        J = np.arange(9.0).reshape(3, 3)
+        params = ModelParams(alpha=0.4, J=J)
+        assert params.j_sym is params.j_sym
+        assert np.array_equal(params.j_sym, 0.5 * (J + J.T))
+        with pytest.raises(ValueError):
+            params.j_sym[0, 1] = 0.0
 
 
 class TestPsi:
@@ -354,6 +365,97 @@ class TestMaximizePsi:
             for point, _ in maximize_psi(params, grid_resolution=48):
                 assert fixed_point_residual(params, point) < 1e-10
                 assert np.abs(grad_psi(point, params)).max() < 1e-8
+
+
+def _certified_draws(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params = ModelParams(
+            rng.uniform(0.05, 0.95), h=rng.uniform(-6.0, 5.0, 3), J=rng.uniform(-4.0, 4.0, (3, 3))
+        )
+        if variational._concave(params):
+            out.append(params)
+    return out
+
+
+# a fraction of a density's room: near 0 (a density vanishes), in the bulk,
+# or near 1 (a monomer density vanishes)
+_fraction = st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 1 - 1e-3), st.floats(1 - 1e-3, 1 - 1e-6))
+
+
+class TestConcavityCertificate:
+    @settings(max_examples=200)
+    @given(alpha=st.floats(1e-3, 0.999), t=st.tuples(_fraction, _fraction, _fraction))
+    def test_entropy_hessian_below_bound(self, alpha, t):
+        # the lemma behind the certificate: on the region the entropy
+        # Hessian is at most -D, D = diag(2/alpha, 2/(1-alpha), 1/min(alpha, 1-alpha))
+        d_ab = t[2] * min(alpha, 1 - alpha)
+        v = np.array([t[0] * (alpha - d_ab) / 2, t[1] * (1 - alpha - d_ab) / 2, d_ab])
+        hess = variational._entropy_hessian(v, alpha)
+        bound = np.array([2 / alpha, 2 / (1 - alpha), 1 / min(alpha, 1 - alpha)])
+        # near a face the Hessian reaches 1e15; scaling it to unit diagonal
+        # (a congruence, which keeps the signs of the eigenvalues) keeps
+        # every entry O(1), so eigvalsh resolves the largest one
+        s = 1 / np.sqrt(-np.diag(hess))
+        lam = np.linalg.eigvalsh(s[:, None] * (hess + np.diag(bound)) * s)[-1]
+        assert lam <= 1e-9 * (s * s * bound).max()
+
+    def test_certified_matches_grid(self, monkeypatch):
+        draws = _certified_draws(20, seed=91)
+        certified = [maximize_psi(p) for p in draws]
+        monkeypatch.setattr(variational, "_concave", lambda params: False)
+        for params, got in zip(draws, certified):
+            want = maximize_psi(params)
+            assert len(got) == len(want) == 1
+            assert np.abs(got[0][0].vector - want[0][0].vector).max() <= 1e-10
+            assert abs(got[0][1] - want[0][1]) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.37, 0.81])
+    def test_grid_matches_pointwise_psi(self, alpha):
+        params = ModelParams(
+            alpha, h=[0.4, -1.2, 0.7], J=[[1.5, -2.0, 0.3], [0.8, -0.6, 2.2], [-1.1, 0.4, 0.9]]
+        )
+        da, db, dab, values = variational._psi_grid(params, 17)
+        want = variational._psi_arrays(da[:, :, None], db[:, None, :], dab[:, None, None], params)
+        assert values.shape == (17, 17, 17)
+        assert np.abs(values - want).max() <= 1e-13 * np.abs(want).max()
+        # the grid reaches every face of the region
+        assert np.allclose(2 * da[:, -1] + dab, alpha, rtol=0, atol=1e-15)
+        assert np.allclose(2 * db[:, -1] + dab, 1 - alpha, rtol=0, atol=1e-15)
+        assert dab[-1] == min(alpha, 1 - alpha)
+
+    @pytest.mark.parametrize("ratio, certified", [(0.99, True), (1.01, False)])
+    def test_grid_used_past_the_bound(self, monkeypatch, ratio, certified):
+        # J = ratio D^1/2 w w^T D^1/2 for a unit w: its scaled form has
+        # largest eigenvalue ``ratio``
+        w = np.array([1.0, -2.0, 0.5]) / np.sqrt(5.25)
+        root = np.sqrt([0.3 / 2, 0.7 / 2, 0.3])
+        params = ModelParams(0.3, h=[-0.5, 0.2, -1.0], J=ratio * np.outer(w / root, w / root))
+        assert variational._concave(params) is certified
+        calls = []
+        grid = variational._psi_grid
+        monkeypatch.setattr(variational, "_psi_grid", lambda *a: calls.append(a) or grid(*a))
+        results = maximize_psi(params)
+        assert bool(calls) is not certified
+        for point, _ in results:
+            assert fixed_point_residual(params, point) < 1e-10
+
+    def test_coexistence_not_certified(self):
+        from dimerfield import coexistence_field, critical_point
+
+        cp = critical_point(0.32)
+        params = ModelParams.reduced(0.32, coexistence_field(0.32, 1.5 * cp.j_c, cp=cp), 1.5 * cp.j_c)
+        assert not variational._concave(params)
+        (low, low_value), (high, high_value) = sorted(maximize_psi(params), key=lambda t: t[0].d_ab)
+        assert low.d_ab < cp.d_c < high.d_ab
+        assert abs(low_value - high_value) < 1e-9
+
+    def test_resolution_checked_when_certified(self):
+        params = ModelParams(alpha=0.5)
+        assert variational._concave(params)
+        with pytest.raises(ValueError, match="grid_resolution"):
+            maximize_psi(params, grid_resolution=3)
 
 
 class TestPressure:
