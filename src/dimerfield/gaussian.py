@@ -15,7 +15,8 @@ statements into machine-checkable numbers:
   decorrelated coordinates (the integrand is a polynomial);
 * the restricted moment uses per-axis Gauss-Jacobi rules that absorb the
   (1 + xi)^p endpoint power whenever the quadrant edge falls inside the
-  integration box, so the edge singularity costs nothing;
+  integration box, so the edge singularity costs nothing (``_jacobi``
+  builds them from the three-term recurrence with numpy alone);
 * Z_N* is evaluated with the population sizes alpha*N, (1-alpha)*N as exact
   reals, which is what makes log Z* super-additive for every decomposition
   (integer rounding would break size additivity).
@@ -32,6 +33,9 @@ from .model import split_sizes
 
 #: Default size cap for the quadrature evaluations.
 DEFAULT_MOMENT_CAP = 200
+
+# the largest node-doubling discrepancy z_star accepts, over max(1, |log Z*|)
+_Z_STAR_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,39 +87,74 @@ class GaussianEstimate:
     method: str
 
 
+def _frozen(t: np.ndarray, logw: np.ndarray):
+    """Read-only nodes and log-weights: every caller shares the cached rule."""
+    t.setflags(write=False)
+    logw.setflags(write=False)
+    return t, logw
+
+
 @cache
 def _hermegauss(n: int):
-    return np.polynomial.hermite_e.hermegauss(n)
+    t, w = np.polynomial.hermite_e.hermegauss(n)
+    return _frozen(t, np.log(w))
 
 
 @cache
 def _legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    t, w = np.polynomial.legendre.leggauss(n)
+    return _frozen(t, np.log(w))
+
+
+def _jacobi_sweep(x: np.ndarray, a: np.ndarray, sb: np.ndarray):
+    """Orthonormal recurrence from p_0 = 1: p_n(x), p_n'(x) (one common
+    scale, so p_n/p_n' is the Newton step), log S(x) for S = sum_{k<n} p_k^2,
+    and S'/(2S).  p grows by at most about power/k a step, so every fourth
+    step divides by hypot(p_k, p_(k-1)), never 0, and logs the factor."""
+    p_prev, d_prev, d, total, cross, log_scale = (np.zeros_like(x) for _ in range(6))
+    p = np.ones_like(x)
+    for k in range(len(a)):
+        total += p * p
+        cross += p * d
+        y = x - a[k]
+        p_prev, p = p, (y * p - sb[k] * p_prev) / sb[k + 1]
+        d_prev, d = d, (p_prev + y * d - sb[k] * d_prev) / sb[k + 1]
+        if k % 4 == 3:
+            c = 1.0 / np.hypot(p, p_prev)
+            p, p_prev, d, d_prev = p * c, p_prev * c, d * c, d_prev * c
+            total, cross = total * c * c, cross * c * c
+            log_scale -= np.log(c)
+    return p, d, np.log(total) + 2.0 * log_scale, cross / total
 
 
 @lru_cache(maxsize=256)
 def _jacobi(n: int, power: float):
-    """Gauss-Jacobi rule for the weight (1 + t)^power on [-1, 1].
-
-    The only use of scipy, imported here: Golub-Welsch weights from numpy's
-    eigensolver lose the small weights at large power, which the 1e-13
-    agreement of ``z_star`` cannot afford.  The cache is bounded because the
-    power, alpha N, takes a new value with every size.
+    """Gauss-Jacobi rule for (1 + t)^power on [-1, 1]: read-only nodes and
+    log-weights.  Golub-Welsch nodes of the monic recurrence with, for
+    s = 2k + power, a_k = power^2 / (s (s + 2)) and
+    b_k = 4 k^2 (k + power)^2 / (s^2 (s^2 - 1)), polished by one Newton step.
+    Christoffel log-weights, log mu_0 - log S(t_i) (mu_0 = 2^(power + 1) /
+    (power + 1)): S sums positive terms, so small weights keep the relative
+    accuracy that eigenvector components lose.  log S moves through the
+    Newton step to first order, so one sweep serves both.  The cache is
+    bounded because alpha N takes a new value at every size.
     """
-    from scipy.special import roots_jacobi
-
-    t, w = roots_jacobi(n, 0.0, power)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    s = 2.0 * np.arange(n + 1) + power
+    a = power * power / (s[:n] * (s[:n] + 2.0))
+    k, s = np.arange(1, n + 1), s[1:]
+    sb = np.concatenate(([0.0], 2.0 * k * (k + power) / (s * np.sqrt((s + 1.0) * (s - 1.0)))))
+    t = np.linalg.eigvalsh(np.diag(a) + np.diag(sb[1:n], 1) + np.diag(sb[1:n], -1))
+    p, d, log_s, half_slope = _jacobi_sweep(t, a, sb)
+    step = p / d
+    log_mu0 = (power + 1.0) * np.log(2.0) - np.log1p(power)
+    return _frozen(t - step, log_mu0 - log_s + 2.0 * step * half_slope)
 
 
 def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:
     """log E[(1+xi_A)^n_a (1+xi_B)^n_b] by Gauss-Hermite, exact for the
     polynomial integrand once 2*nodes - 1 >= n_a + n_b."""
     chol = np.linalg.cholesky(cov)
-    z, w = _hermegauss(nodes)
-    logw = np.log(w)
+    z, logw = _hermegauss(nodes)
     xi_a = chol[0, 0] * z[:, None] + np.zeros_like(z)[None, :]
     xi_b = chol[1, 0] * z[:, None] + chol[1, 1] * z[None, :]
     base_a = 1.0 + xi_a
@@ -208,15 +247,15 @@ def _axis_rule(power: float, sigma: float, nodes: int):
     top = peak + 12.0 * sigma
     bottom = -12.0 * sigma
     if bottom <= -1.0:
-        t, w = _jacobi(nodes, power)
+        t, logw = _jacobi(nodes, power)
         half = 0.5 * (top + 1.0)
         xi = -1.0 + (t + 1.0) * half
-        logw = np.log(w) + (power + 1.0) * np.log(half)
+        logw = logw + (power + 1.0) * np.log(half)
     else:
-        t, w = _legendre(nodes)
+        t, logw = _legendre(nodes)
         half = 0.5 * (top - bottom)
         xi = 0.5 * (top + bottom) + t * half
-        logw = np.log(w) + np.log(half) + power * np.log1p(xi)
+        logw = logw + np.log(half) + power * np.log1p(xi)
     return xi, logw
 
 
@@ -250,11 +289,14 @@ def z_star(
 
     Population sizes enter as the exact reals alpha*N and (1-alpha)*N; the
     integrand is positive on Q, so the value is always finite and Z_N* > 0.
-    The error estimate is the node-doubling discrepancy.
+    The error estimate is the node-doubling discrepancy; RuntimeError if it
+    exceeds 1e-9 max(1, |log Z*|), which resolved rules meet by far.
     """
     wm = weight_matrix(h)
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    if int(nodes) != nodes or nodes < 1:
+        raise ValueError(f"nodes must be a positive integer, got {nodes}")
     if n > cap:
         raise ValueError(f"n={n} exceeds the moment cap {cap}")
     if not (0.0 < alpha < 1.0):
@@ -264,9 +306,12 @@ def z_star(
     power_b = (1.0 - alpha) * n
     coarse = _z_star_once(power_a, power_b, cov, nodes)
     fine = _z_star_once(power_a, power_b, cov, 2 * nodes)
-    return GaussianEstimate(
-        log_value=fine, error_estimate=abs(fine - coarse), method="quadrature"
-    )
+    error = abs(fine - coarse)
+    if not error <= _Z_STAR_TOL * max(1.0, abs(fine)):
+        raise RuntimeError(
+            f"z_star unresolved at n={n}, {nodes} nodes: node doubling moves {fine:.6g} by {error:.3g}"
+        )
+    return GaussianEstimate(log_value=fine, error_estimate=error, method="quadrature")
 
 
 def laplace_exponent(xi, alpha: float, w: DimerWeightMatrix) -> float:

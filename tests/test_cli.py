@@ -175,6 +175,13 @@ class TestExitCodes:
         code, _ = run_cli(["critical", "--alpha", "0.1"])
         assert code == 3
 
+    def test_unresolved_quadrature(self, capsys):
+        # one node cannot resolve z_star: its node-doubling discrepancy is 34
+        code, _ = run_cli(["gauss", "--quad-nodes", "1"])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "numerical"
+
     def test_alphas_below_critical(self):
         code, _ = run_cli(["scaled", "--jprime", "160000", "--alphas", "0.001,0.002"])
         assert code == 2

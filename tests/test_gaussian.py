@@ -1,11 +1,13 @@
 """Gaussian-moment representation: Wick identity, Z*, super-additivity."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 from dimerfield import (
     ModelParams,
+    gaussian,
     laplace_exponent,
     laplace_maximum,
     log_partition_exact,
@@ -136,6 +138,83 @@ class TestZStar:
         assert z - z_s == pytest.approx(off, abs=1e-9)
         # at these weights the off-quadrant mass is negative, so Z* exceeds Z
         assert off < 0.0
+
+    # (n, alpha, h, log Z*) at the default nodes, as computed with the
+    # Gauss-Jacobi rule of scipy.special.roots_jacobi
+    SCIPY_RULE_VALUES = [
+        (8, 0.5, (-1.5, -1.5, -2.0), 0.5354715034761428),
+        (64, 0.5, (-1.5, -1.5, -2.0), 4.853597725306058),
+        (200, 0.99, (0.0, 0.0, -1.0), 57.33539394266468),
+        (200, 0.3, (-2.0, -1.0, -3.0), 17.406144409329656),
+        (37, 0.01, (0.5, -0.5, -1.0), 7.4149704851691585),
+        (1, 0.5, (0.0, 0.0, -1.0), -0.09968825668781989),
+        (128, 0.75, (1.0, 0.8, 0.2), 57.927980405742495),
+    ]
+
+    @pytest.mark.parametrize("n,alpha,h,want", SCIPY_RULE_VALUES)
+    def test_default_node_values_unchanged(self, n, alpha, h, want):
+        assert z_star(n, alpha, h).log_value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_unresolved_quadrature_raises(self):
+        with pytest.raises(RuntimeError, match="unresolved"):
+            z_star(8, 0.5, [0.0, 0.0, -1.0], nodes=5)
+        with pytest.raises(ValueError, match="nodes"):
+            z_star(8, 0.5, [0.0, 0.0, -1.0], nodes=0)
+
+
+def _mp_jacobi_node(n, power, x):
+    """Newton-refine x to a zero of the degree-n Jacobi polynomial for the
+    weight (1 + t)^power at 40 digits, with its Christoffel log-weight."""
+    with mp.workdps(40):
+        b = mp.mpf(power)
+        a = [b * b / ((2 * k + b) * (2 * k + b + 2)) for k in range(n)]
+        sb = [mp.mpf(0)] + [
+            2 * k * (k + b) / ((2 * k + b) * mp.sqrt((2 * k + b + 1) * (2 * k + b - 1)))
+            for k in range(1, n + 1)
+        ]
+        x = mp.mpf(x)
+        for _ in range(2):
+            p_prev, p, d_prev, d, total = 0, mp.mpf(1), 0, 0, 0
+            for k in range(n):
+                total += p * p
+                p_prev, p = p, ((x - a[k]) * p - sb[k] * p_prev) / sb[k + 1]
+                d_prev, d = d, (p_prev + (x - a[k]) * d - sb[k] * d_prev) / sb[k + 1]
+            x -= p / d  # total is taken at the previous x, within 1e-30 of the zero
+        log_mu0 = (b + 1) * mp.log(2) - mp.log(b + 1)
+        # the recurrence coefficients, checked against mpmath's own Jacobi polynomials
+        assert abs(mp.jacobi(n, 0, b, x)) <= 1e-25 * abs(mp.jacobi(n - 1, 0, b, x))
+        return x, log_mu0 - mp.log(total)
+
+
+class TestQuadratureRules:
+    @pytest.mark.parametrize("n", [200, 400])
+    @pytest.mark.parametrize("power", [0.5, 5.0, 60.0, 199.0])
+    def test_jacobi_matches_40_digit_reference(self, n, power):
+        t, logw = gaussian._jacobi(n, power)
+        picks = set(np.argsort(logw)[:3]) | set(np.linspace(0, n - 1, 6).astype(int))
+        for i in sorted(picks):
+            x, ref_logw = _mp_jacobi_node(n, power, t[i])
+            assert abs(float(x - t[i])) <= 2e-16
+            assert abs(float(ref_logw - logw[i])) <= 1e-11
+        mu0 = 2.0 ** (power + 1.0) / (power + 1.0)
+        assert np.exp(logw).sum() == pytest.approx(mu0, rel=1e-13)
+
+    def test_weights_below_the_normal_double_range(self):
+        # the smallest weight, about e^-723, is out of reach of any sweep that
+        # sums the p_k^2 without rescaling: the sum would overflow
+        t, logw = gaussian._jacobi(800, 199.0)
+        i = int(np.argmin(logw))
+        assert logw[i] < -709.0
+        x, ref_logw = _mp_jacobi_node(800, 199.0, t[i])
+        assert abs(float(ref_logw - logw[i])) <= 1e-11
+        assert np.exp(logw).sum() == pytest.approx(2.0**200 / 200.0, rel=1e-13)
+
+    def test_cached_rules_are_read_only(self):
+        for t, logw in (gaussian._hermegauss(12), gaussian._legendre(12), gaussian._jacobi(12, 2.5)):
+            assert not t.flags.writeable
+            assert not logw.flags.writeable
+            with pytest.raises(ValueError):
+                logw[0] = 0.0
 
 
 class TestLaplaceExponent:
