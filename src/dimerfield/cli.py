@@ -373,6 +373,8 @@ def _run_scaled(cfg):
 
 
 def _run_gauss(cfg):
+    if cfg.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {cfg.trials}")
     params = _model_params(cfg)
     gauss.weight_matrix(params.h)
     rows = []

@@ -80,11 +80,10 @@ def weight_matrix(h) -> DimerWeightMatrix:
 
 @dataclass(frozen=True)
 class GaussianEstimate:
-    """A log-value plus the method's own error estimate."""
+    """A log-value plus the quadrature's own error estimate."""
 
     log_value: float
     error_estimate: float
-    method: str
 
 
 def _frozen(t: np.ndarray, logw: np.ndarray):
@@ -186,53 +185,23 @@ def z_via_gaussian(
     n: int,
     alpha: float,
     h,
-    method: str = "quadrature",
     nodes: int = 200,
-    samples: int = 100_000,
-    seed: int = 0,
     cap: int = DEFAULT_MOMENT_CAP,
 ) -> GaussianEstimate:
     """log Z_N through the Gaussian-moment identity, at integer sizes.
 
-    The quadrature route is exact for the polynomial integrand (the error
-    estimate it reports is the node-doubling discrepancy, i.e. rounding
-    noise); Monte Carlo reports the standard error of its mean and is
-    mostly useful as an independent sanity route at small N, since the
-    integrand's variance grows violently with N.
+    The quadrature is exact for the polynomial integrand; the error estimate
+    it reports is the node-doubling discrepancy, i.e. rounding noise.
     """
     wm = weight_matrix(h)
     sizes = split_sizes(n, alpha)
     if n > cap:
         raise ValueError(f"n={n} exceeds the moment cap {cap}")
     cov = wm.w / float(n)
-    if method == "quadrature":
-        k = max(nodes, n // 2 + 2)
-        val = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k)
-        check = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k + 32)
-        return GaussianEstimate(
-            log_value=val, error_estimate=abs(val - check), method="quadrature"
-        )
-    if method == "monte-carlo":
-        rng = np.random.default_rng(seed)
-        xi = rng.multivariate_normal([0.0, 0.0], cov, size=samples)
-        base_a = 1.0 + xi[:, 0]
-        base_b = 1.0 + xi[:, 1]
-        with np.errstate(divide="ignore"):
-            logs = sizes.n_a * np.log(np.abs(base_a)) + sizes.n_b * np.log(np.abs(base_b))
-        sign = np.where((base_a < 0.0) & (sizes.n_a % 2 == 1), -1.0, 1.0)
-        sign *= np.where((base_b < 0.0) & (sizes.n_b % 2 == 1), -1.0, 1.0)
-        m = logs.max()
-        vals = sign * np.exp(logs - m)
-        mean = float(vals.mean())
-        if not mean > 0.0:
-            raise RuntimeError("Monte Carlo mean non-positive; increase samples")
-        se = float(vals.std(ddof=1) / np.sqrt(samples))
-        return GaussianEstimate(
-            log_value=float(m + np.log(mean)),
-            error_estimate=se / mean,
-            method="monte-carlo",
-        )
-    raise ValueError(f"method must be 'quadrature' or 'monte-carlo', got {method!r}")
+    k = max(nodes, n // 2 + 2)
+    val = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k)
+    check = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k + 32)
+    return GaussianEstimate(log_value=val, error_estimate=abs(val - check))
 
 
 def _axis_rule(power: float, sigma: float, nodes: int):
@@ -311,7 +280,7 @@ def z_star(
         raise RuntimeError(
             f"z_star unresolved at n={n}, {nodes} nodes: node doubling moves {fine:.6g} by {error:.3g}"
         )
-    return GaussianEstimate(log_value=fine, error_estimate=error, method="quadrature")
+    return GaussianEstimate(log_value=fine, error_estimate=error)
 
 
 def laplace_exponent(xi, alpha: float, w: DimerWeightMatrix) -> float:

@@ -163,6 +163,12 @@ class TestExitCodes:
         code, _ = run_cli(["gauss", "--alpha", "0.5", "--h", "0,0,0"])
         assert code == 2
 
+    def test_negative_trials(self, capsys):
+        code, _ = run_cli(["gauss", "--trials", "-2", "--n", "4"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["category"] == "validation"
+
     def test_cap_violation(self):
         code, _ = run_cli(["exact", "--alpha", "0.5", "--n", "4", "--cap", "2"])
         assert code == 2

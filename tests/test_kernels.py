@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from dimerfield import ModelParams, admissible_count, coexistence_field, critical_point, split_sizes
-from dimerfield._kernels import LOG2, _cube_bounds, _tangent, active_backend, partition_sums
+from dimerfield._kernels import LOG2, _cube_bounds, active_backend, partition_sums
 
 REL = 1e-13
 TAIL = 1e-15
@@ -135,8 +135,7 @@ FIXED = {
     "critical_alpha_0.5": (400, lambda: _reduced(0.5, 1.0)),
     "antiferro_j_-200": (400, lambda: ModelParams(0.5, h=[0.3, -0.2, 1.0], J=-200.0 * np.eye(3))),
     "ferro_j_20": (400, lambda: ModelParams(0.5, h=[-0.3, 0.2, -1.0], J=20.0 * np.eye(3))),
-    # a convex quadratic large enough that the bound comes within 1 nat of
-    # the largest class in its cube
+    # a convex quadratic large enough that t is far from concave
     "ferro_j_30": (200, lambda: ModelParams(0.5, J=30.0 * np.eye(3))),
     "one_a_site": (300, lambda: ModelParams(0.003, h=[0.5, -0.5, 0.5], J=np.ones((3, 3)))),
     "n_2": (2, lambda: ModelParams(0.5, h=[0.1, 0.2, -0.3], J=np.eye(3))),
@@ -170,6 +169,7 @@ def test_means_match_extended_precision_sum(case, n):
 
 def assert_no_class_above_its_cube_bound(n, params):
     args = _kernel_args(n, params)
+    j = args[6]
     lo, hi, bound = _cube_bounds(*args)
     a, b, c = _classes(args[0], args[1])
     t = _terms(*args, a, b, c)
@@ -178,7 +178,11 @@ def assert_no_class_above_its_cube_bound(n, params):
         inside = (a >= lo[k, 0]) & (a <= hi[k, 0]) & (b >= lo[k, 1]) & (b <= hi[k, 1])
         inside &= (c >= lo[k, 2]) & (c <= hi[k, 2])
         covered += inside
-        assert t[inside].max() <= bound[k] + 1e-9 * max(1.0, abs(bound[k]))
+        slack = 1e-9 * max(1.0, abs(bound[k]))
+        assert t[inside].max() <= bound[k] + slack
+        if j[0, 1] == 0:
+            # without the D_A D_B coupling the bound is the cube's largest term
+            assert t[inside].max() >= bound[k] - slack
     # the boxes partition the admissible classes
     assert (covered == 1).all()
 
@@ -193,31 +197,6 @@ def test_no_class_above_its_cube_bound(alpha, n, h, j):
 def test_fixed_cases_bounded(case):
     n, make = FIXED[case]
     assert_no_class_above_its_cube_bound(n, make())
-
-
-@pytest.mark.parametrize("case", ["antiferro_j_-200", "coexistence_two_peaks", "critical_alpha_0.1", "ferro_j_30"])
-def test_tangent_matches_terms_and_differences(case):
-    # the bound's expansion: t at lattice points equals the class formula,
-    # and grad t matches central differences of t at interior real points
-    n, make = FIXED[case]
-    args = _kernel_args(n, make())
-    n_a, n_b = args[0], args[1]
-    a, b, c = _classes(n_a, n_b)
-    pick = np.linspace(0, len(a) - 1, 50).astype(int)
-    lattice = np.stack([a[pick], b[pick], c[pick]], axis=1).astype(float)
-    t, _ = _tangent(lattice, *args)
-    want = _terms(*args, a[pick], b[pick], c[pick])
-    assert np.abs(t - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    # interior points: every lgamma argument at least 1
-    p = 0.25 * lattice + np.array([0.3, 0.3, 0.3])
-    p = p[(n_a - 2 * p[:, 0] - p[:, 2] >= 1.0) & (n_b - 2 * p[:, 1] - p[:, 2] >= 1.0)]
-    _, grad = _tangent(p, *args)
-    step = 1e-5
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = step
-        fd = (_tangent(p + e, *args)[0] - _tangent(p - e, *args)[0]) / (2 * step)
-        assert np.abs(fd - grad[:, axis]).max() <= 1e-5 * max(1.0, np.abs(grad).max())
 
 
 def test_numpy_path_deterministic():

@@ -186,8 +186,8 @@ class TestPartitionFunction:
         log_partition_exact(101, ModelParams(alpha=0.5), cap=101)
 
     def test_at_enumeration_cap(self):
-        # N = 2000 visits about a tenth of the 8.4e7 classes; the sum must
-        # still sit inside the log N / N envelope of the limit pressure
+        # N = 2000 visits 6.4e6 of the 8.4e7 classes; the sum must still
+        # sit inside the log N / N envelope of the limit pressure
         n = DEFAULT_ENUMERATION_CAP
         params = ModelParams(
             alpha=0.5,

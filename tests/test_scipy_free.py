@@ -1,9 +1,9 @@
 """The scipy-free runtime, checked with scipy as the oracle.
 
 dimerfield needs numpy only: Brent's method is written out in
-``variational._bracketed_root``, the kernel's lgamma and digamma come from
-asymptotic series, and ``gaussian._jacobi`` builds the Gauss-Jacobi rules
-of ``z_star``.  These tests hold all three to scipy's own routines.
+``variational._bracketed_root``, and ``gaussian._jacobi`` builds the
+Gauss-Jacobi rules of ``z_star``.  These tests hold both to scipy's own
+routines.
 """
 
 import json
@@ -16,10 +16,9 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, roots_jacobi
+from scipy.special import roots_jacobi
 
 from dimerfield import gaussian, z_star
-from dimerfield._kernels import _lgamma_digamma
 from dimerfield.variational import _bracketed_root
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -138,18 +137,3 @@ def test_brent_iteration_cap_and_sign_check_match_scipy():
     with pytest.raises(ValueError, match="NaN"):
         _bracketed_root(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
 
-
-def test_kernel_lgamma_digamma_match_scipy():
-    rng = np.random.default_rng(5)
-    x = np.concatenate(
-        [
-            np.linspace(1.0, 20.0, 19001),
-            np.arange(1.0, 5000.5, 0.5),  # the integers and half-integers
-            np.exp(rng.uniform(0.0, np.log(5000.0), 20000)),
-        ]
-    )
-    lg, dg = _lgamma_digamma(x)
-    want_lg, want_dg = gammaln(x), digamma(x)
-    # relative, measured against 1 where lgamma crosses zero at x = 1 and 2
-    assert np.max(np.abs(lg - want_lg) / np.maximum(np.abs(want_lg), 1.0)) <= 1e-14
-    assert np.max(np.abs(dg - want_dg)) <= 5e-15
