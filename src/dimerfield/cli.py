@@ -4,7 +4,7 @@ One argparse parser reads every option.  Each option is declared once in
 ``_OPTIONS`` and each command accepts only the options its runner reads,
 so a flag the command would ignore is a usage error.  ``--config FILE``
 holds ``key=value`` lines keyed by option name (``alpha``, ``n_grid``,
-``grid_resolution``, ...); they are appended to the command line as
+``quad_nodes``, ...); they are appended to the command line as
 ``--flag=value`` and parsed by the same subparser, so the file overrides
 flags and a key the command does not read is rejected too.  JSON output
 embeds the parsed options for provenance.  CSV output carries a header row
@@ -134,31 +134,25 @@ def _parse_mat3(spec: str) -> list:
     return [vals[0:3], vals[3:6], vals[6:9]]
 
 
-#: Every option, declared once: dest -> (flag names, add_argument keywords).
-#: A config-file key is a dest and stands for the first name.  String
+#: Every option, declared once: dest -> (flag, add_argument keywords).
+#: A config-file key is a dest and stands for the flag.  String
 #: defaults go through the converter on every parse, so no run shares a list.
 _OPTIONS = {
-    "alpha": (["--alpha"], dict(type=float, default=0.5, help="population-A fraction")),
-    "h": (["--h"], dict(type=_parse_vec3, default="0,0,0", help="h_A,h_B,h_AB")),
-    "j": (["--j", "--J"], dict(type=_parse_mat3, default="0,0,0,0,0,0,0,0,0", help="J row by row")),
-    "h_ab": (["--h-ab"], dict(type=float, help="mixed-dimer field (sets h_AB)")),
-    "j_abab": (["--j-abab"], dict(type=float, help="mixed-dimer coupling (sets J[AB,AB])")),
-    "n_grid": (["--n", "--N", "--n-grid"], dict(type=_parse_int_grid, help="system sizes N")),
-    "cap": (["--cap"], dict(type=int, default=model.DEFAULT_ENUMERATION_CAP, help="largest N")),
-    "grid_resolution": (
-        ["--grid-res"],
-        dict(type=int, default=64, help="psi grid points/axis (skipped when psi is certified concave)"),
-    ),
-    "quad_nodes": (["--quad-nodes"], dict(type=int, default=200, help="quadrature nodes")),
-    "seed": (["--seed"], dict(type=int, default=0, help="seed of the superadditivity draws")),
-    "trials": (["--trials"], dict(type=int, default=10, help="superadditivity triples")),
-    "h_ab_grid": (["--h-ab-grid"], dict(type=_parse_grid, help="mixed fields to scan")),
-    "j_abab_grid": (["--j-abab-grid"], dict(type=_parse_grid, help="mixed couplings to scan")),
-    "offsets": (["--offsets"], dict(type=_parse_grid, help="coupling offsets above J_c")),
-    "jprime": (["--jprime"], dict(type=float, required=True, help="J_ABAB / (alpha (1 - alpha))")),
-    "alphas": (["--alphas"], dict(type=_parse_grid, help="population fractions to scan")),
-    "output": (["--output"], dict(help="output path (default stdout)")),
-    "format": (["--format"], dict(choices=("csv", "json"), default="json")),
+    "alpha": ("--alpha", dict(type=float, default=0.5, help="population-A fraction")),
+    "h": ("--h", dict(type=_parse_vec3, default="0,0,0", help="h_A,h_B,h_AB")),
+    "j": ("--j", dict(type=_parse_mat3, default="0,0,0,0,0,0,0,0,0", help="J row by row")),
+    "n_grid": ("--n", dict(type=_parse_int_grid, help="system sizes N")),
+    "cap": ("--cap", dict(type=int, default=model.DEFAULT_ENUMERATION_CAP, help="largest N")),
+    "quad_nodes": ("--quad-nodes", dict(type=int, default=200, help="quadrature nodes")),
+    "seed": ("--seed", dict(type=int, default=0, help="seed of the superadditivity draws")),
+    "trials": ("--trials", dict(type=int, default=10, help="superadditivity triples")),
+    "h_ab_grid": ("--h-ab-grid", dict(type=_parse_grid, help="mixed fields to scan")),
+    "j_abab_grid": ("--j-abab-grid", dict(type=_parse_grid, help="mixed couplings to scan")),
+    "offsets": ("--offsets", dict(type=_parse_grid, help="coupling offsets above J_c")),
+    "jprime": ("--jprime", dict(type=float, required=True, help="J_ABAB / (alpha (1 - alpha))")),
+    "alphas": ("--alphas", dict(type=_parse_grid, help="population fractions to scan")),
+    "output": ("--output", dict(help="output path (default stdout)")),
+    "format": ("--format", dict(choices=("csv", "json"), default="json")),
 }
 _ALPHA_REQUIRED = {"alpha": {"required": True}}
 
@@ -173,8 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, dests, overrides) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for dest in (*dests, "output", "format"):
-            names, kwargs = _OPTIONS[dest]
-            p.add_argument(*names, dest=dest, **{**kwargs, **overrides.get(dest, {})})
+            flag, kwargs = _OPTIONS[dest]
+            p.add_argument(flag, dest=dest, **{**kwargs, **overrides.get(dest, {})})
         p.add_argument("--config", help="key=value file overriding flags")
     return parser
 
@@ -196,21 +190,8 @@ def _config_tokens(argv: list) -> list:
             key = key.strip().replace("-", "_")
             if not eq or key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: expected option_name=value, got {raw!r}")
-            tokens.append(f"{_OPTIONS[key][0][0]}={value.strip()}")
+            tokens.append(f"{_OPTIONS[key][0]}={value.strip()}")
     return tokens
-
-
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """The parsed options as the run configuration: the config path dropped,
-    and ``h_ab``/``j_abab`` folded into ``h``/``j``."""
-    del args.config
-    h_ab = vars(args).pop("h_ab", None)
-    if h_ab is not None:
-        args.h[2] = h_ab
-    j_abab = vars(args).pop("j_abab", None)
-    if j_abab is not None:
-        args.j[2][2] = j_abab
-    return args
 
 
 def _model_params(cfg) -> ModelParams:
@@ -247,7 +228,7 @@ def _run_exact(cfg):
 
 def _run_pressure(cfg):
     params = _model_params(cfg)
-    maximizers = vari.maximize_psi(params, grid_resolution=cfg.grid_resolution)
+    maximizers = vari.maximize_psi(params)
     p = max(v for _, v in maximizers)
     rows = []
     for idx, (point, value) in enumerate(maximizers):
@@ -428,7 +409,7 @@ def _run_gauss(cfg):
 
 def _run_convergence(cfg):
     params = _model_params(cfg)
-    p = vari.pressure(params, grid_resolution=cfg.grid_resolution)
+    p = vari.pressure(params)
     ns = sorted(cfg.n_grid)
     sums = [model._ensemble_sums(n, params, cfg.cap) for n in ns]
     densities = [float(out[0]) / n for n, out in zip(ns, sums)]
@@ -451,15 +432,14 @@ def _run_convergence(cfg):
     return rows, {"p": p, "c_fit": c_fit}
 
 
-_MODEL = ("alpha", "h", "j", "h_ab", "j_abab")
+_MODEL = ("alpha", "h", "j")
 
 #: name -> (runner, help, the options the runner reads, per-command keywords).
 #: Every command also takes --output, --format and --config.
 _COMMANDS = {
     "exact": (_run_exact, "finite-N enumeration over an N grid",
               (*_MODEL, "n_grid", "cap"), {"n_grid": {"default": "4,8,16"}}),
-    "pressure": (_run_pressure, "variational pressure and maximizers",
-                 (*_MODEL, "grid_resolution"), {}),
+    "pressure": (_run_pressure, "variational pressure and maximizers", _MODEL, {}),
     "critical": (_run_critical, "critical point of the reduced model",
                  ("alpha",), _ALPHA_REQUIRED),
     "branches": (_run_branches, "phase-diagram scan of the reduced model",
@@ -469,10 +449,10 @@ _COMMANDS = {
     "scaled": (_run_scaled, "scaled-coupling critical point and d_mix scan",
                ("jprime", "alphas"), {}),
     "gauss": (_run_gauss, "Gaussian-moment cross checks at J=0",
-              ("alpha", "h", "h_ab", "n_grid", "cap", "quad_nodes", "seed", "trials"),
+              ("alpha", "h", "n_grid", "cap", "quad_nodes", "seed", "trials"),
               {"n_grid": {"default": "2,4,8,16,32"}, "h": {"default": "0,0,-1"}}),
     "convergence": (_run_convergence, "finite-N pressure against the limit",
-                    (*_MODEL, "n_grid", "cap", "grid_resolution"),
+                    (*_MODEL, "n_grid", "cap"),
                     {"n_grid": {"default": "50,100,200,400"}}),
 }
 
@@ -501,7 +481,8 @@ def _emit_error(category: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _resolve(_build_parser().parse_args(argv + _config_tokens(argv)))
+        cfg = _build_parser().parse_args(argv + _config_tokens(argv))
+        del cfg.config
         if cfg.output and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.output))):
             raise ValueError(f"--output {cfg.output!r}: no such directory")
         rows, summary = _COMMANDS[cfg.command][0](cfg)

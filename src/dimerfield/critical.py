@@ -254,8 +254,14 @@ def solve_branches(rp: ReducedParams) -> list[BranchSolution]:
     return out
 
 
-def global_branches(branches: list[BranchSolution]) -> list[BranchSolution]:
-    return [b for b in branches if b.stability == STABILITY_GLOBAL]
+def _upper_root(alpha, h, j, d_c) -> float:
+    """The root of f(d) = h + J d on the last rising piece of r, which the
+    square-root branch follows whether or not it is the global maximum.
+    RuntimeError when that piece has no root within reach."""
+    edges, level = _edges(alpha, j, d_c)
+    if not (level[-2] <= h <= level[-1]):
+        raise RuntimeError(f"the upper root at alpha={alpha}, h={h}, j={j} lies beyond reach")
+    return _bracketed_root(lambda d: _f_raw(d, alpha) - j * d - h, edges[-2], edges[-1])
 
 
 def mixed_dimer_fraction(d: float, alpha: float) -> float:
@@ -304,15 +310,9 @@ def exponent_scan(alpha: float, j_offsets) -> ExponentScan:
         )
     deviations = np.empty_like(offsets)
     for k, delta in enumerate(offsets):
-        rp = ReducedParams(alpha, cp.h_c - cp.d_c * delta, cp.j_c + delta)
-        tops = global_branches(solve_branches(rp))
-        d_star = max(b.d for b in tops)
-        if d_star <= cp.d_c:
-            raise RuntimeError(
-                f"offset {delta:.6g} landed on the low-density side "
-                f"(d*={d_star:.6g} <= d_c={cp.d_c:.6g}); not the branching regime"
-            )
-        deviations[k] = d_star - cp.d_c
+        deviations[k] = _upper_root(alpha, cp.h_c - cp.d_c * delta, cp.j_c + delta, cp.d_c) - cp.d_c
+        if deviations[k] <= 0.0:
+            raise RuntimeError(f"offset {delta:.6g} gives no upper branch above d_c={cp.d_c:.6g}")
     exponent, prefactor = _fit_loglog(offsets, deviations)
     return ExponentScan(
         alpha=alpha,
@@ -439,8 +439,7 @@ def d_mix_scan(jprime: float, alphas) -> DmixScan:
         j = a * (1.0 - a) * jprime
         cp_a = critical_point(a)
         h = coexistence_field(a, j, cp=cp_a)
-        tops = global_branches(solve_branches(ReducedParams(a, h, j)))
-        d_star = max(b.d for b in tops)
+        d_star = _upper_root(a, h, j, cp_a.d_c)
         h_vals[k] = h
         d_vals[k] = d_star
         mix[k] = mixed_dimer_fraction(d_star, a)

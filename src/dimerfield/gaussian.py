@@ -31,8 +31,8 @@ import numpy as np
 
 from .model import split_sizes
 
-#: Default size cap for the quadrature evaluations.
-DEFAULT_MOMENT_CAP = 200
+#: Largest N the quadrature evaluations accept.
+MOMENT_CAP = 200
 
 # the largest node-doubling discrepancy z_star accepts, over max(1, |log Z*|)
 _Z_STAR_TOL = 1e-9
@@ -181,13 +181,7 @@ def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:
     return float(m + np.log(total))
 
 
-def z_via_gaussian(
-    n: int,
-    alpha: float,
-    h,
-    nodes: int = 200,
-    cap: int = DEFAULT_MOMENT_CAP,
-) -> GaussianEstimate:
+def z_via_gaussian(n: int, alpha: float, h, nodes: int = 200) -> GaussianEstimate:
     """log Z_N through the Gaussian-moment identity, at integer sizes.
 
     The quadrature is exact for the polynomial integrand; the error estimate
@@ -195,8 +189,8 @@ def z_via_gaussian(
     """
     wm = weight_matrix(h)
     sizes = split_sizes(n, alpha)
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the moment cap {cap}")
+    if n > MOMENT_CAP:
+        raise ValueError(f"n={n} exceeds the moment cap {MOMENT_CAP}")
     cov = wm.w / float(n)
     k = max(nodes, n // 2 + 2)
     val = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k)
@@ -247,13 +241,7 @@ def _z_star_once(power_a: float, power_b: float, cov: np.ndarray, nodes: int) ->
     return float(m + np.log(np.sum(np.exp(t - m))))
 
 
-def z_star(
-    n: int,
-    alpha: float,
-    h,
-    nodes: int = 200,
-    cap: int = DEFAULT_MOMENT_CAP,
-) -> GaussianEstimate:
+def z_star(n: int, alpha: float, h, nodes: int = 200) -> GaussianEstimate:
     """log Z_N*: the Gaussian moment restricted to the quadrant Q.
 
     Population sizes enter as the exact reals alpha*N and (1-alpha)*N; the
@@ -266,8 +254,8 @@ def z_star(
         raise ValueError(f"n must be a positive integer, got {n}")
     if int(nodes) != nodes or nodes < 1:
         raise ValueError(f"nodes must be a positive integer, got {nodes}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the moment cap {cap}")
+    if n > MOMENT_CAP:
+        raise ValueError(f"n={n} exceeds the moment cap {MOMENT_CAP}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     cov = wm.w / float(n)
@@ -360,16 +348,14 @@ class SuperadditivityResult:
         return self.rhs - self.lhs
 
 
-def superadditivity_check(
-    n1: int, n2: int, alpha: float, h, nodes: int = 200, slack: float = 1e-9
-) -> SuperadditivityResult:
-    """Check log Z*_{N1} + log Z*_{N2} <= log Z*_{N1+N2} (+ numerical slack)."""
+def superadditivity_check(n1: int, n2: int, alpha: float, h, nodes: int = 200) -> SuperadditivityResult:
+    """Check log Z*_{N1} + log Z*_{N2} <= log Z*_{N1+N2} (+ 1e-9 numerical slack)."""
     lhs = z_star(n1, alpha, h, nodes=nodes).log_value + z_star(
         n2, alpha, h, nodes=nodes
     ).log_value
     rhs = z_star(n1 + n2, alpha, h, nodes=nodes).log_value
     return SuperadditivityResult(
-        n1=int(n1), n2=int(n2), lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + slack)
+        n1=int(n1), n2=int(n2), lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-9)
     )
 
 

@@ -145,10 +145,6 @@ class DimerCounts:
             object.__setattr__(self, name, int(v))
 
     @property
-    def total(self) -> int:
-        return self.d_a + self.d_b + self.d_ab
-
-    @property
     def vector(self) -> np.ndarray:
         return np.array([self.d_a, self.d_b, self.d_ab], dtype=float)
 
@@ -158,10 +154,6 @@ class DimerCounts:
             sizes.n_a - 2 * self.d_a - self.d_ab,
             sizes.n_b - 2 * self.d_b - self.d_ab,
         )
-
-    def admissible(self, sizes: PopulationSizes) -> bool:
-        m_a, m_b = self.monomers(sizes)
-        return m_a >= 0 and m_b >= 0
 
 
 @dataclass(frozen=True)
@@ -190,10 +182,11 @@ class DimerDensities:
             1.0 - alpha - 2.0 * self.d_b - self.d_ab,
         )
 
-    def in_region(self, alpha: float, tol: float = 1e-12) -> bool:
-        """Hard-core feasibility: 2 d_A + d_AB <= alpha and B-analogue."""
+    def in_region(self, alpha: float) -> bool:
+        """Hard-core feasibility: 2 d_A + d_AB <= alpha and B-analogue, up
+        to 1e-12 of rounding."""
         m_a, m_b = self.monomers(alpha)
-        return m_a >= -tol and m_b >= -tol
+        return m_a >= -1e-12 and m_b >= -1e-12
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ import numpy as np
 
 from .params import TIE_TOL, DimerDensities, ModelParams, quadratic_form
 
-_REGION_TOL = 1e-12
 _TINY = 1e-300
 #: Brent's tolerances and iteration cap (those of scipy's ``brentq`` with
 #: xtol=1e-300, rtol=8.9e-16): the bracket closes to float64 rounding.
@@ -137,7 +136,7 @@ def _entropy_arrays(d_a, d_b, d_ab, alpha):
 
 
 def _require_in_region(d: DimerDensities, alpha: float) -> None:
-    if not d.in_region(alpha, tol=_REGION_TOL):
+    if not d.in_region(alpha):
         m_a, m_b = d.monomers(alpha)
         raise ValueError(
             f"densities {d} lie outside the hard-core region for alpha={alpha} "
@@ -293,45 +292,42 @@ def solve_zero_coupling(h, alpha: float) -> DimerDensities:
     return DimerDensities(0.5 * w[0] * m_a * m_a, 0.5 * w[1] * m_b * m_b, w[2] * m_a * m_b)
 
 
-def fixed_point_solve(
-    params: ModelParams,
-    d0: DimerDensities | None = None,
-    damping: float = 0.5,
-    tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> DimerDensities:
+#: fixed_point_solve: initial damping, absolute and relative residual
+#: tolerances, and iteration cap.
+_FP_DAMPING, _FP_TOL, _FP_REL_TOL, _FP_MAX_ITER = 0.5, 1e-12, 1e-10, 100_000
+
+
+def fixed_point_solve(params: ModelParams, d0: DimerDensities | None = None) -> DimerDensities:
     """Damped iteration of d <- (1-lam) d + lam g(h + J d, alpha).
 
     Converges to a solution of the self-consistency system; the returned
-    point carries residual max_i |d_i - g_i(d)| < tol and a relative
-    residual < rel_tol, so the gradient of psi vanishes there to ~1e-8 even
-    for very small density components.  The damping halves whenever the
-    residual grows (the map need not contract for large J).
+    point carries residual max_i |d_i - g_i(d)| < 1e-12 and a relative
+    residual < 1e-10, so the gradient of psi vanishes there to ~1e-8 even
+    for very small density components.  The damping starts at 1/2 and
+    halves whenever the residual grows (the map need not contract for
+    large J).
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if d0 is None:
         d = solve_zero_coupling(params.h, params.alpha).vector
     else:
         _require_in_region(d0, params.alpha)
         d = d0.vector.copy()
-    lam = damping
+    lam = _FP_DAMPING
     prev_resid = np.inf
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         step = _map(params, d) - d
         resid = np.abs(step).max()
         rel = (np.abs(step) / np.maximum(np.abs(d), _TINY)).max()
-        if resid < tol and rel < rel_tol:
+        if resid < _FP_TOL and rel < _FP_REL_TOL:
             return DimerDensities(*d)
         if resid > prev_resid:
             lam = max(0.5 * lam, 1.0 / 1024.0)
         prev_resid = resid
         d = d + lam * step
     raise RuntimeError(
-        f"fixed point iteration did not converge within {max_iter} steps "
-        f"(residual {resid:.3e}); retry with smaller damping"
+        f"fixed point iteration did not converge within {_FP_MAX_ITER} steps "
+        f"(residual {resid:.3e})"
     )
 
 
@@ -413,6 +409,8 @@ _GRAD_TOL = 1e-10
 _PSI_SLACK = 1e-14
 #: Grid starts refined per call, at most.
 _N_STARTS = 12
+#: Grid points per axis when psi is not certified concave.
+_GRID_RES = 64
 #: Points (ends included) at which a segment between two maxima is probed
 #: for a dip.
 _SEGMENT_T = np.linspace(0.0, 1.0, 9)
@@ -490,9 +488,9 @@ def _same_basin(params: ModelParams, a, b) -> bool:
     return bool(vals[1:-1].min() >= low - _PSI_SLACK * (1.0 + abs(low)))
 
 
-def _grid_starts(params: ModelParams, res: int) -> np.ndarray:
+def _grid_starts(params: ModelParams) -> np.ndarray:
     """Up to _N_STARTS best grid points, each in its own patch of the grid."""
-    da, db, dab, values = _psi_grid(params, res)
+    da, db, dab, values = _psi_grid(params, _GRID_RES)
     flat = values.ravel()
     k = min(40 * _N_STARTS, flat.size)
     top = np.argpartition(flat, -k)[-k:]
@@ -503,7 +501,7 @@ def _grid_starts(params: ModelParams, res: int) -> np.ndarray:
     # that axis' extent, so separated basins survive even when alpha (hence
     # the region) is tiny
     scale = _extent(params.alpha)
-    thin_radius = 3.0 / (res - 1)
+    thin_radius = 3.0 / (_GRID_RES - 1)
     starts = []
     left = np.ones(len(points), dtype=bool)
     while left.any() and len(starts) < _N_STARTS:
@@ -512,9 +510,7 @@ def _grid_starts(params: ModelParams, res: int) -> np.ndarray:
     return np.array(starts)
 
 
-def maximize_psi(
-    params: ModelParams, grid_resolution: int = 64
-) -> list[tuple[DimerDensities, float]]:
+def maximize_psi(params: ModelParams) -> list[tuple[DimerDensities, float]]:
     """All global maximizers of psi over the hard-core region.
 
     When the bound of ``_concave`` certifies psi strictly concave (every
@@ -539,11 +535,9 @@ def maximize_psi(
     within the iteration cap, or when the activities exp(h + J d) overflow
     (fields above about +700).
     """
-    if grid_resolution < 4:
-        raise ValueError("grid_resolution must be at least 4")
     alpha = params.alpha
     # the map step takes d = 0 to the zero-coupling solution
-    starts = np.zeros((1, 3)) if _concave(params) else _grid_starts(params, grid_resolution)
+    starts = np.zeros((1, 3)) if _concave(params) else _grid_starts(params)
 
     candidates = []
     for p in starts:
@@ -572,7 +566,7 @@ def maximize_psi(
     return out
 
 
-def pressure(params: ModelParams, grid_resolution: int = 64) -> float:
+def pressure(params: ModelParams) -> float:
     """Limiting pressure density p = max psi over the hard-core region; the
     grid of ``maximize_psi`` is skipped when psi is certified concave."""
-    return max(v for _, v in maximize_psi(params, grid_resolution=grid_resolution))
+    return max(v for _, v in maximize_psi(params))

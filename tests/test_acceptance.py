@@ -36,8 +36,7 @@ from dimerfield import (
     z_star,
     z_via_gaussian,
 )
-
-H_C_LIMIT = -2.0 - np.log((np.sqrt(5.0) - 1.0) / 2.0)
+from dimerfield.critical import H_C_LIMIT
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -82,7 +81,7 @@ def test_criterion_02_stationarity_equals_fixed_point():
             h=rng.uniform(-1.5, 0.5, 3),
             J=rng.uniform(-1.0, 1.0, (3, 3)),
         )
-        for point, _ in maximize_psi(params, grid_resolution=48):
+        for point, _ in maximize_psi(params):
             worst_resid = max(worst_resid, fixed_point_residual(params, point))
         for d0 in (None, DimerDensities(0.0, 0.0, 0.0)):
             out = fixed_point_solve(params, d0)
@@ -112,14 +111,14 @@ def test_criterion_03_pressure_gradient_is_density():
     step = 1e-5
     worst = 0.0
     for params in sets:
-        d_star = maximize_psi(params, grid_resolution=48)[0][0].vector
+        d_star = maximize_psi(params)[0][0].vector
         for i in range(3):
             hp, hm = params.h.copy(), params.h.copy()
             hp[i] += step
             hm[i] -= step
             fd = (
-                pressure(ModelParams(alpha=params.alpha, h=hp, J=params.J), 48)
-                - pressure(ModelParams(alpha=params.alpha, h=hm, J=params.J), 48)
+                pressure(ModelParams(alpha=params.alpha, h=hp, J=params.J))
+                - pressure(ModelParams(alpha=params.alpha, h=hm, J=params.J))
             ) / (2 * step)
             worst = max(worst, abs(fd - d_star[i]))
     ok = worst < 1e-5

@@ -33,7 +33,7 @@ class TestCriticalCommand:
 
 class TestExactCommand:
     def test_n4_log_z(self):
-        code, out = run_cli(["exact", "--alpha", "0.5", "--N", "4"])
+        code, out = run_cli(["exact", "--alpha", "0.5", "--n", "4"])
         assert code == 0
         data = json.loads(out)
         assert data["rows"][0]["log_z"] == pytest.approx(np.log(2.6875), abs=1e-13)
@@ -53,6 +53,12 @@ class TestExponentCommand:
         assert code == 0
         data = json.loads(out)
         assert 0.48 <= data["summary"]["exponent"] <= 0.52
+
+    def test_lower_root_global(self):
+        # the pivot line's lower root is the global maximum at alpha = 0.1
+        code, out = run_cli(["exponent", "--alpha", "0.1"])
+        assert code == 0
+        assert 0.48 <= json.loads(out)["summary"]["exponent"] <= 0.52
 
 
 class TestPressureCommand:
@@ -84,9 +90,7 @@ class TestGaussCommand:
 
 class TestConvergenceCommand:
     def test_envelope_columns(self):
-        code, out = run_cli(
-            ["convergence", "--alpha", "0.5", "--n", "50,100,200", "--grid-res", "48"]
-        )
+        code, out = run_cli(["convergence", "--alpha", "0.5", "--n", "50,100,200"])
         assert code == 0
         data = json.loads(out)
         assert data["summary"]["c_fit"] > 0.0
@@ -96,7 +100,7 @@ class TestConvergenceCommand:
             assert 0 < row["classes_visited"] <= row["classes_total"]
             assert row["log_tail_bound"] <= np.log(1e-15)
         # the pruning diagnostics are data: a rerun prints the same bytes
-        assert run_cli(["convergence", "--alpha", "0.5", "--n", "50,100,200", "--grid-res", "48"])[1] == out
+        assert run_cli(["convergence", "--alpha", "0.5", "--n", "50,100,200"])[1] == out
 
 
 class TestBranchesCommand:
@@ -228,25 +232,22 @@ class TestExitCodes:
 # The options each command's runner reads, by config-file key.  Every other
 # option must be rejected: a flag the command would ignore is an error.
 READS = {
-    "exact": {"alpha", "h", "j", "h_ab", "j_abab", "n_grid", "cap"},
-    "pressure": {"alpha", "h", "j", "h_ab", "j_abab", "grid_resolution"},
+    "exact": {"alpha", "h", "j", "n_grid", "cap"},
+    "pressure": {"alpha", "h", "j"},
     "critical": {"alpha"},
     "branches": {"alpha", "h_ab_grid", "j_abab_grid"},
     "exponent": {"alpha", "offsets"},
     "scaled": {"jprime", "alphas"},
-    "gauss": {"alpha", "h", "h_ab", "n_grid", "cap", "quad_nodes", "seed", "trials"},
-    "convergence": {"alpha", "h", "j", "h_ab", "j_abab", "n_grid", "cap", "grid_resolution"},
+    "gauss": {"alpha", "h", "n_grid", "cap", "quad_nodes", "seed", "trials"},
+    "convergence": {"alpha", "h", "j", "n_grid", "cap"},
 }
 # config key -> (flag, a valid value)
 OPTIONS = {
     "alpha": ("--alpha", "0.02"),
     "h": ("--h", "0,0,-1"),
     "j": ("--j", "1,0,0,0,1,0,0,0,1"),
-    "h_ab": ("--h-ab", "-2"),
-    "j_abab": ("--j-abab", "5"),
     "n_grid": ("--n", "100"),
     "cap": ("--cap", "100"),
-    "grid_resolution": ("--grid-res", "16"),
     "quad_nodes": ("--quad-nodes", "100"),
     "seed": ("--seed", "1"),
     "trials": ("--trials", "1"),
@@ -259,28 +260,38 @@ OPTIONS = {
 # a fast run of each command, reading only its own options
 BASE = {
     "exact": ["exact", "--n", "4"],
-    "pressure": ["pressure", "--grid-res", "16"],
+    "pressure": ["pressure"],
     "critical": ["critical", "--alpha", "0.1"],
     "branches": ["branches", "--alpha", "0.1", "--h-ab-grid", "-0.5", "--j-abab-grid", "60"],
     "exponent": ["exponent", "--alpha", "1e-3", "--offsets", "10,20,40"],
     "scaled": ["scaled", "--jprime", "160000", "--alphas", "0.0105"],
     "gauss": ["gauss", "--h", "0,0,-1", "--n", "2", "--trials", "1"],
-    "convergence": ["convergence", "--n", "50", "--grid-res", "16"],
+    "convergence": ["convergence", "--n", "50"],
 }
-UNREAD = [(cmd, key) for cmd in READS for key in OPTIONS if key not in READS[cmd]]
+# removed options, by their old config key: every command rejects them
+REMOVED = {"h_ab": ("--h-ab", "-2"), "j_abab": ("--j-abab", "5"), "grid_resolution": ("--grid-res", "16")}
+ANY_OPTION = {**OPTIONS, **REMOVED}
+UNREAD = [(cmd, key) for cmd in READS for key in ANY_OPTION if key not in READS[cmd]]
 
 
 class TestOptions:
     @pytest.mark.parametrize("command,key", UNREAD)
     def test_unread_flag_rejected(self, command, key):
-        flag, value = OPTIONS[key]
+        flag, value = ANY_OPTION[key]
         assert run_cli([*BASE[command], f"{flag}={value}"])[0] == 2
 
     @pytest.mark.parametrize("command,key", UNREAD)
     def test_unread_config_key_rejected(self, command, key, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {OPTIONS[key][1]}\n")
+        cfg.write_text(f"{key} = {ANY_OPTION[key][1]}\n")
         assert run_cli([*BASE[command], "--config", str(cfg)])[0] == 2
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    @pytest.mark.parametrize("flag", ["--J", "--N", "--n-grid"])
+    def test_alternate_spellings_rejected(self, command, flag):
+        # --j and --n are the only spellings; n_grid stays the config key of --n
+        value = OPTIONS["j" if flag == "--J" else "n_grid"][1]
+        assert run_cli([*BASE[command], f"{flag}={value}"])[0] == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -307,8 +318,7 @@ class TestOptions:
     def test_config_keys_are_own_options(self, command):
         code, out = run_cli(BASE[command])
         assert code == 0
-        folded = READS[command] - {"h_ab", "j_abab"}  # folded into h and J
-        assert set(json.loads(out)["config"]) == folded | {"command", "output", "format"}
+        assert set(json.loads(out)["config"]) == READS[command] | {"command", "output", "format"}
 
     @pytest.mark.parametrize("command", sorted(READS))
     def test_config_file_matches_flags(self, command, tmp_path):
@@ -321,13 +331,6 @@ class TestOptions:
         by_file = run_cli([*BASE[command], "--config", str(cfg)])
         assert by_flags[0] == 0
         assert by_file == by_flags
-
-    def test_folded_fields(self):
-        code, out = run_cli(["exact", "--n", "4", "--h=0,0,-1", "--h-ab", "0.5", "--j-abab", "2"])
-        assert code == 0
-        config = json.loads(out)["config"]
-        assert config["h"] == [0.0, 0.0, 0.5]
-        assert config["j"] == [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
 
 
 def readme_commands():

@@ -250,7 +250,7 @@ class TestReductionConsistency:
             if len(tops) != 1:
                 continue  # skip accidental coexistence draws
             tested += 1
-            results = maximize_psi(rp.to_model_params(), grid_resolution=48)
+            results = maximize_psi(rp.to_model_params())
             assert len(results) == 1
             point = results[0][0]
             d = tops[0].d
@@ -271,6 +271,18 @@ class TestExponentScan:
         scan = exponent_scan(1e-2, np.geomspace(0.0025 * cp.j_c, 0.025 * cp.j_c, 9))
         assert scan.exponent == pytest.approx(0.5, abs=0.02)
         assert scan.prefactor == pytest.approx(np.sqrt(3e-6 / 16.0), rel=0.15)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+    def test_upper_root_at_moderate_alpha(self, alpha):
+        # the CLI's default offsets; at 0.05 and 0.1 the lower root is the
+        # global maximum on the pivot line, and the scan still takes the upper
+        cp = critical_point(alpha)
+        scan = exponent_scan(alpha, np.geomspace(0.005 * cp.j_c, 0.05 * cp.j_c, 13))
+        assert scan.exponent == pytest.approx(0.5, abs=0.02)
+        assert scan.prefactor == pytest.approx(np.sqrt(3.0 * alpha**3 / 16.0), rel=0.05)
+        for delta, dev in zip(scan.offsets, scan.deviations):
+            rp = ReducedParams(alpha, cp.h_c - cp.d_c * delta, cp.j_c + delta)
+            assert cp.d_c + dev == pytest.approx(max(b.d for b in solve_branches(rp)), rel=1e-12)
 
     def test_rejects_large_offsets(self):
         with pytest.raises(ValueError):

@@ -274,10 +274,6 @@ class TestFixedPoint:
         high = fixed_point_solve(params, DimerDensities(1e-5, 0.2, 9e-4))
         assert abs(low.d_ab - high.d_ab) > 5e-4
 
-    def test_rejects_bad_damping(self):
-        with pytest.raises(ValueError):
-            fixed_point_solve(ModelParams(alpha=0.5), damping=0.0)
-
 
 class TestMaximizePsi:
     def test_empty_phase(self):
@@ -362,7 +358,7 @@ class TestMaximizePsi:
         rng = np.random.default_rng(12)
         for _ in range(5):
             params = random_params(rng)
-            for point, _ in maximize_psi(params, grid_resolution=48):
+            for point, _ in maximize_psi(params):
                 assert fixed_point_residual(params, point) < 1e-10
                 assert np.abs(grad_psi(point, params)).max() < 1e-8
 
@@ -451,18 +447,12 @@ class TestConcavityCertificate:
         assert low.d_ab < cp.d_c < high.d_ab
         assert abs(low_value - high_value) < 1e-9
 
-    def test_resolution_checked_when_certified(self):
-        params = ModelParams(alpha=0.5)
-        assert variational._concave(params)
-        with pytest.raises(ValueError, match="grid_resolution"):
-            maximize_psi(params, grid_resolution=3)
-
 
 class TestPressure:
     def test_nonnegative(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
-            assert pressure(random_params(rng), grid_resolution=32) >= 0.0
+            assert pressure(random_params(rng)) >= 0.0
 
     def test_empty_phase_value(self):
         assert pressure(ModelParams(alpha=0.4, h=[-50, -50, -50])) == pytest.approx(
@@ -491,7 +481,7 @@ class TestEnumerationConvergence:
                 h=rng.uniform(-1, 1, 3),
                 J=rng.uniform(-1, 1, (3, 3)),
             )
-            p = pressure(params, grid_resolution=48)
+            p = pressure(params)
             errors = np.array(
                 [abs(log_partition_exact(n, params) / n - p) for n in ns]
             )
