@@ -4,7 +4,7 @@ One argparse parser reads every option.  Each option is declared once in
 ``_OPTIONS`` and each command accepts only the options its runner reads,
 so a flag the command would ignore is a usage error.  ``--config FILE``
 holds ``key=value`` lines keyed by option name (``alpha``, ``n_grid``,
-``quad_nodes``, ...); they are appended to the command line as
+``cap``, ...); they are appended to the command line as
 ``--flag=value`` and parsed by the same subparser, so the file overrides
 flags and a key the command does not read is rejected too.  JSON output
 embeds the parsed options for provenance.  CSV output carries a header row
@@ -143,7 +143,6 @@ _OPTIONS = {
     "j": ("--j", dict(type=_parse_mat3, default="0,0,0,0,0,0,0,0,0", help="J row by row")),
     "n_grid": ("--n", dict(type=_parse_int_grid, help="system sizes N")),
     "cap": ("--cap", dict(type=int, default=model.DEFAULT_ENUMERATION_CAP, help="largest N")),
-    "quad_nodes": ("--quad-nodes", dict(type=int, default=200, help="quadrature nodes")),
     "seed": ("--seed", dict(type=int, default=0, help="seed of the superadditivity draws")),
     "trials": ("--trials", dict(type=int, default=10, help="superadditivity triples")),
     "h_ab_grid": ("--h-ab-grid", dict(type=_parse_grid, help="mixed fields to scan")),
@@ -299,7 +298,7 @@ def _run_branches(cfg):
 def _run_exponent(cfg):
     alpha = cfg.alpha
     cp = crit.critical_point(alpha)
-    offsets = cfg.offsets or list(np.geomspace(0.005 * cp.j_c, 0.05 * cp.j_c, 13))
+    offsets = cfg.offsets or list(np.geomspace(1e-4 * cp.j_c, 1e-2 * cp.j_c, 13))
     scan = crit.exponent_scan(alpha, offsets)
     rows = []
     for delta, dev in zip(scan.offsets, scan.deviations):
@@ -361,8 +360,8 @@ def _run_gauss(cfg):
     rows = []
     for n in cfg.n_grid:
         exact = model.log_partition_exact(n, params, cfg.cap)
-        quad = gauss.z_via_gaussian(n, params.alpha, params.h, nodes=cfg.quad_nodes)
-        star = gauss.z_star(n, params.alpha, params.h, nodes=cfg.quad_nodes)
+        quad = gauss.z_via_gaussian(n, params.alpha, params.h)
+        star = gauss.z_star(n, params.alpha, params.h)
         delta = abs(exact - quad.log_value)
         rows.append(
             {
@@ -390,9 +389,7 @@ def _run_gauss(cfg):
     for _ in range(cfg.trials):
         n1 = int(rng.integers(1, 41))
         n2 = int(rng.integers(1, 41))
-        res = gauss.superadditivity_check(
-            n1, n2, params.alpha, params.h, nodes=cfg.quad_nodes
-        )
+        res = gauss.superadditivity_check(n1, n2, params.alpha, params.h)
         rows.append(
             {
                 "check": "superadd",
@@ -449,7 +446,7 @@ _COMMANDS = {
     "scaled": (_run_scaled, "scaled-coupling critical point and d_mix scan",
                ("jprime", "alphas"), {}),
     "gauss": (_run_gauss, "Gaussian-moment cross checks at J=0",
-              ("alpha", "h", "n_grid", "cap", "quad_nodes", "seed", "trials"),
+              ("alpha", "h", "n_grid", "cap", "seed", "trials"),
               {"n_grid": {"default": "2,4,8,16,32"}, "h": {"default": "0,0,-1"}}),
     "convergence": (_run_convergence, "finite-N pressure against the limit",
                     (*_MODEL, "n_grid", "cap"),

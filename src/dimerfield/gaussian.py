@@ -13,10 +13,9 @@ statements into machine-checkable numbers:
 
 * the unrestricted moment integrates exactly by tensor Gauss-Hermite in
   decorrelated coordinates (the integrand is a polynomial);
-* the restricted moment uses per-axis Gauss-Jacobi rules that absorb the
-  (1 + xi)^p endpoint power whenever the quadrant edge falls inside the
-  integration box, so the edge singularity costs nothing (``_jacobi``
-  builds them from the three-term recurrence with numpy alone);
+* the restricted moment is one trapezoid sum in u = log(1 + xi) on each
+  axis, where the quadrant edge moves to u = -infinity and the integrand
+  is entire, so the sum converges geometrically for every N;
 * Z_N* is evaluated with the population sizes alpha*N, (1-alpha)*N as exact
   reals, which is what makes log Z* super-additive for every decomposition
   (integer rounding would break size additivity).
@@ -24,18 +23,26 @@ statements into machine-checkable numbers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
 from .model import split_sizes
+from .variational import _bracketed_root
 
 #: Largest N the quadrature evaluations accept.
 MOMENT_CAP = 200
 
-# the largest node-doubling discrepancy z_star accepts, over max(1, |log Z*|)
+# the largest error estimate z_star accepts, over max(1, |log Z*|)
 _Z_STAR_TOL = 1e-9
+# z_star's box holds the integrand within this many nats of its peak
+_DEPTH = 40.0
+# z_star's trapezoid steps per standard deviation of the peak
+_STEPS_PER_SIGMA = 8
+# grid points z_star sums at once, and the most it sums in all
+_BLOCK, _MAX_POINTS = 1 << 15, 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,18 +51,6 @@ class DimerWeightMatrix:
 
     w: np.ndarray
     det: float
-
-    @property
-    def w_a(self) -> float:
-        return float(self.w[0, 0])
-
-    @property
-    def w_b(self) -> float:
-        return float(self.w[1, 1])
-
-    @property
-    def w_ab(self) -> float:
-        return float(self.w[0, 1])
 
 
 def weight_matrix(h) -> DimerWeightMatrix:
@@ -86,67 +81,14 @@ class GaussianEstimate:
     error_estimate: float
 
 
-def _frozen(t: np.ndarray, logw: np.ndarray):
+@cache
+def _hermegauss(n: int):
     """Read-only nodes and log-weights: every caller shares the cached rule."""
+    t, w = np.polynomial.hermite_e.hermegauss(n)
+    logw = np.log(w)
     t.setflags(write=False)
     logw.setflags(write=False)
     return t, logw
-
-
-@cache
-def _hermegauss(n: int):
-    t, w = np.polynomial.hermite_e.hermegauss(n)
-    return _frozen(t, np.log(w))
-
-
-@cache
-def _legendre(n: int):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return _frozen(t, np.log(w))
-
-
-def _jacobi_sweep(x: np.ndarray, a: np.ndarray, sb: np.ndarray):
-    """Orthonormal recurrence from p_0 = 1: p_n(x), p_n'(x) (one common
-    scale, so p_n/p_n' is the Newton step), log S(x) for S = sum_{k<n} p_k^2,
-    and S'/(2S).  p grows by at most about power/k a step, so every fourth
-    step divides by hypot(p_k, p_(k-1)), never 0, and logs the factor."""
-    p_prev, d_prev, d, total, cross, log_scale = (np.zeros_like(x) for _ in range(6))
-    p = np.ones_like(x)
-    for k in range(len(a)):
-        total += p * p
-        cross += p * d
-        y = x - a[k]
-        p_prev, p = p, (y * p - sb[k] * p_prev) / sb[k + 1]
-        d_prev, d = d, (p_prev + y * d - sb[k] * d_prev) / sb[k + 1]
-        if k % 4 == 3:
-            c = 1.0 / np.hypot(p, p_prev)
-            p, p_prev, d, d_prev = p * c, p_prev * c, d * c, d_prev * c
-            total, cross = total * c * c, cross * c * c
-            log_scale -= np.log(c)
-    return p, d, np.log(total) + 2.0 * log_scale, cross / total
-
-
-@lru_cache(maxsize=256)
-def _jacobi(n: int, power: float):
-    """Gauss-Jacobi rule for (1 + t)^power on [-1, 1]: read-only nodes and
-    log-weights.  Golub-Welsch nodes of the monic recurrence with, for
-    s = 2k + power, a_k = power^2 / (s (s + 2)) and
-    b_k = 4 k^2 (k + power)^2 / (s^2 (s^2 - 1)), polished by one Newton step.
-    Christoffel log-weights, log mu_0 - log S(t_i) (mu_0 = 2^(power + 1) /
-    (power + 1)): S sums positive terms, so small weights keep the relative
-    accuracy that eigenvector components lose.  log S moves through the
-    Newton step to first order, so one sweep serves both.  The cache is
-    bounded because alpha N takes a new value at every size.
-    """
-    s = 2.0 * np.arange(n + 1) + power
-    a = power * power / (s[:n] * (s[:n] + 2.0))
-    k, s = np.arange(1, n + 1), s[1:]
-    sb = np.concatenate(([0.0], 2.0 * k * (k + power) / (s * np.sqrt((s + 1.0) * (s - 1.0)))))
-    t = np.linalg.eigvalsh(np.diag(a) + np.diag(sb[1:n], 1) + np.diag(sb[1:n], -1))
-    p, d, log_s, half_slope = _jacobi_sweep(t, a, sb)
-    step = p / d
-    log_mu0 = (power + 1.0) * np.log(2.0) - np.log1p(power)
-    return _frozen(t - step, log_mu0 - log_s + 2.0 * step * half_slope)
 
 
 def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:
@@ -181,94 +123,144 @@ def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:
     return float(m + np.log(total))
 
 
-def z_via_gaussian(n: int, alpha: float, h, nodes: int = 200) -> GaussianEstimate:
+def z_via_gaussian(n: int, alpha: float, h) -> GaussianEstimate:
     """log Z_N through the Gaussian-moment identity, at integer sizes.
 
-    The quadrature is exact for the polynomial integrand; the error estimate
-    it reports is the node-doubling discrepancy, i.e. rounding noise.
+    n//2 + 2 Gauss-Hermite nodes per axis integrate the polynomial integrand
+    exactly; the error estimate is the discrepancy from 32 more nodes, i.e.
+    rounding noise.
     """
     wm = weight_matrix(h)
     sizes = split_sizes(n, alpha)
     if n > MOMENT_CAP:
         raise ValueError(f"n={n} exceeds the moment cap {MOMENT_CAP}")
     cov = wm.w / float(n)
-    k = max(nodes, n // 2 + 2)
+    k = n // 2 + 2
     val = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k)
     check = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k + 32)
     return GaussianEstimate(log_value=val, error_estimate=abs(val - check))
 
 
-def _axis_rule(power: float, sigma: float, nodes: int):
-    """Nodes, log-weights for one axis of the quadrant-restricted moment.
+def _rise(s_a, s_b, a, r, e, prec):
+    """g(u + s) - g(u) for g(u) = a.u - xi P xi / 2 with xi = e^u - 1, given
+    e = e^u and r = (P xi) e at u.  Each term is of the size of the rise, so
+    nothing large cancels.  Broadcasts a column s_a against a row s_b."""
+    x_a, x_b = np.expm1(s_a), np.expm1(s_b)
+    d_a, d_b = e[0] * x_a, e[1] * x_b
+    t_a = a[0] * s_a - r[0] * x_a - 0.5 * prec[0, 0] * d_a * d_a
+    t_b = a[1] * s_b - r[1] * x_b - 0.5 * prec[1, 1] * d_b * d_b
+    return t_a + t_b - prec[0, 1] * d_a * d_b
 
-    The weights carry the (1 + xi)^power factor.  If the quadrant edge -1
-    falls inside the +-12 sigma range, a Gauss-Jacobi rule absorbs the
-    endpoint power exactly; otherwise plain Legendre nodes cover the box
-    and the power goes into the weight explicitly.
+
+def _peak(a, prec):
+    """The maximum of g by Newton on the curvature K = E P E + diag(a),
+    E = diag(e^u): K is positive definite, so each step rises, and it is
+    -Hessian(g) at the peak, so the steps converge quadratically.  A step
+    is halved until g does not fall.  Returns u, e^u, (P xi) e^u and K."""
+    u = np.zeros(2)
+    for _ in range(100):
+        e = np.exp(u)
+        r = prec @ np.expm1(u) * e
+        curv = e[:, None] * prec * e + np.diag(a)
+        step = np.linalg.solve(curv, a - r)
+        if np.abs(step).max() <= 1e-12:
+            return u, e, r, curv
+        for _ in range(60):
+            if _rise(step[0], step[1], a, r, e, prec) >= 0.0:
+                break
+            step = 0.5 * step
+        u = u + step
+    raise RuntimeError(f"z_star: Newton found no peak of the integrand for a={a}")
+
+
+def _log_quadrant_integral(a, prec):
+    """log of the integral over the plane of exp(g(u)), and its error estimate.
+
+    The box holds the region within _DEPTH nats of the peak.  Its extent
+    along one axis is where the profile, g maximized over the other axis,
+    falls to that depth; that maximizer is the positive root of a quadratic
+    in its e^s.  The trapezoid grid is centred on the peak, with a step of
+    sigma_i/_STEPS_PER_SIGMA on axis i: sigma_A is the marginal width of
+    the peak, (K^-1)_AA^1/2, and sigma_B its width at fixed u_A, K_BB^-1/2.
+    Then every alias of the peak's Gaussian core lies at least
+    2 pi _STEPS_PER_SIGMA standard deviations out, however correlated the
+    axes are.  The grid is summed in row blocks, which bounds the memory;
+    RuntimeError if W is so near singular that the grid would exceed
+    _MAX_POINTS.  The estimate adds the discrepancy from the nested grid of
+    twice the step to the mass beyond the box, taken as the edge level
+    times the box perimeter: past the left edge the log-integrand falls
+    like a_i u_i with a_i >= 1, past the right one faster.
     """
-    peak = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * power * sigma * sigma))
-    top = peak + 12.0 * sigma
-    bottom = -12.0 * sigma
-    if bottom <= -1.0:
-        t, logw = _jacobi(nodes, power)
-        half = 0.5 * (top + 1.0)
-        xi = -1.0 + (t + 1.0) * half
-        logw = logw + (power + 1.0) * np.log(half)
-    else:
-        t, logw = _legendre(nodes)
-        half = 0.5 * (top - bottom)
-        xi = 0.5 * (top + bottom) + t * half
-        logw = logw + np.log(half) + power * np.log1p(xi)
-    return xi, logw
+    u, e, r, curv = _peak(a, prec)
+    sigma = np.sqrt([np.linalg.inv(curv)[0, 0], 1.0 / curv[1, 1]])
+
+    def profile(s, i):
+        j = 1 - i
+        q = prec[j, j] * e[j] * e[j]
+        b = r[j] - q + prec[0, 1] * e[j] * e[i] * np.expm1(s)
+        root = np.sqrt(b * b + 4.0 * q * a[j])
+        s_j = np.log(2.0 * a[j] / (b + root) if b > 0.0 else (root - b) / (2.0 * q))
+        pair = (s, s_j) if i == 0 else (s_j, s)
+        return _rise(*pair, a, r, e, prec) + _DEPTH
+
+    steps = sigma / _STEPS_PER_SIGMA
+    axes = []
+    for i, step in enumerate(steps):
+        ends = []
+        for sign in (-1.0, 1.0):
+            inner, outer = 0.0, sign * sigma[i]
+            while profile(outer, i) >= 0.0:
+                inner, outer = outer, 2.0 * outer
+            ends.append(_bracketed_root(lambda s: profile(s, i), inner, outer) / step)
+        lo = math.floor(ends[0])
+        # the nested grid takes the even multiples of the step, the peak among them
+        axes.append(np.arange(lo - lo % 2, math.ceil(ends[1]) + 1) * step)
+    s_a, s_b = axes
+    if len(s_a) * len(s_b) > _MAX_POINTS:
+        raise RuntimeError(f"z_star: W is near singular; the grid needs {len(s_a)} x {len(s_b)} points")
+    rows = max(2, _BLOCK // len(s_b) // 2 * 2)  # even, so each block starts on the nested grid
+    fine = coarse = 0.0
+    for top in range(0, len(s_a), rows):
+        block = np.exp(_rise(s_a[top : top + rows, None], s_b, a, r, e, prec))
+        fine += float(block.sum())
+        coarse += float(block[::2, ::2].sum())
+    area = steps[0] * steps[1]
+    xi = np.expm1(u)
+    log_fine = float(a @ u - 0.5 * xi @ prec @ xi) + math.log(fine * area)
+    perimeter = 2.0 * (s_a[-1] - s_a[0] + s_b[-1] - s_b[0])
+    error = abs(math.log(fine / (4.0 * coarse))) + math.exp(-_DEPTH) * perimeter / (fine * area)
+    return log_fine, error
 
 
-def _z_star_once(power_a: float, power_b: float, cov: np.ndarray, nodes: int) -> float:
-    prec = np.linalg.inv(cov)
-    logdet = float(np.log(np.linalg.det(cov)))
-    xi_a, logw_a = _axis_rule(power_a, float(np.sqrt(cov[0, 0])), nodes)
-    xi_b, logw_b = _axis_rule(power_b, float(np.sqrt(cov[1, 1])), nodes)
-    qa = xi_a[:, None]
-    qb = xi_b[None, :]
-    quad = prec[0, 0] * qa * qa + 2.0 * prec[0, 1] * qa * qb + prec[1, 1] * qb * qb
-    t = (
-        logw_a[:, None]
-        + logw_b[None, :]
-        - 0.5 * quad
-        - np.log(2.0 * np.pi)
-        - 0.5 * logdet
-    )
-    m = t.max()
-    return float(m + np.log(np.sum(np.exp(t - m))))
-
-
-def z_star(n: int, alpha: float, h, nodes: int = 200) -> GaussianEstimate:
+def z_star(n: int, alpha: float, h) -> GaussianEstimate:
     """log Z_N*: the Gaussian moment restricted to the quadrant Q.
 
-    Population sizes enter as the exact reals alpha*N and (1-alpha)*N; the
-    integrand is positive on Q, so the value is always finite and Z_N* > 0.
-    The error estimate is the node-doubling discrepancy; RuntimeError if it
-    exceeds 1e-9 max(1, |log Z*|), which resolved rules meet by far.
+    Population sizes enter as the exact reals p = (alpha*N, (1-alpha)*N).
+    In u = log(1 + xi) on each axis,
+
+        Z_N* = (2 pi)^-1 det(C)^-1/2 int exp((p+1).u - xi C^-1 xi / 2) du,
+
+    C = W/N, an entire integrand on the plane, which the trapezoid rule
+    integrates to geometric accuracy (Trefethen and Weideman, SIAM Review
+    56, 2014).  The integrand is positive, so Z_N* > 0.  RuntimeError if
+    the error estimate exceeds 1e-9 max(1, |log Z*|), or if W is too near
+    singular for the grid.
     """
     wm = weight_matrix(h)
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if int(nodes) != nodes or nodes < 1:
-        raise ValueError(f"nodes must be a positive integer, got {nodes}")
     if n > MOMENT_CAP:
         raise ValueError(f"n={n} exceeds the moment cap {MOMENT_CAP}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    cov = wm.w / float(n)
-    power_a = alpha * n
-    power_b = (1.0 - alpha) * n
-    coarse = _z_star_once(power_a, power_b, cov, nodes)
-    fine = _z_star_once(power_a, power_b, cov, 2 * nodes)
-    error = abs(fine - coarse)
-    if not error <= _Z_STAR_TOL * max(1.0, abs(fine)):
+    a = np.array([alpha * n, (1.0 - alpha) * n]) + 1.0
+    log_int, error = _log_quadrant_integral(a, n * np.linalg.inv(wm.w))
+    value = log_int - math.log(2.0 * math.pi) - 0.5 * math.log(wm.det / (n * n))
+    if not error <= _Z_STAR_TOL * max(1.0, abs(value)):
         raise RuntimeError(
-            f"z_star unresolved at n={n}, {nodes} nodes: node doubling moves {fine:.6g} by {error:.3g}"
+            f"z_star unresolved at n={n}: the trapezoid error estimate for {value:.6g} is {error:.3g}"
         )
-    return GaussianEstimate(log_value=fine, error_estimate=error)
+    return GaussianEstimate(log_value=value, error_estimate=error)
 
 
 def laplace_exponent(xi, alpha: float, w: DimerWeightMatrix) -> float:
@@ -348,12 +340,10 @@ class SuperadditivityResult:
         return self.rhs - self.lhs
 
 
-def superadditivity_check(n1: int, n2: int, alpha: float, h, nodes: int = 200) -> SuperadditivityResult:
+def superadditivity_check(n1: int, n2: int, alpha: float, h) -> SuperadditivityResult:
     """Check log Z*_{N1} + log Z*_{N2} <= log Z*_{N1+N2} (+ 1e-9 numerical slack)."""
-    lhs = z_star(n1, alpha, h, nodes=nodes).log_value + z_star(
-        n2, alpha, h, nodes=nodes
-    ).log_value
-    rhs = z_star(n1 + n2, alpha, h, nodes=nodes).log_value
+    lhs = z_star(n1, alpha, h).log_value + z_star(n2, alpha, h).log_value
+    rhs = z_star(n1 + n2, alpha, h).log_value
     return SuperadditivityResult(
         n1=int(n1), n2=int(n2), lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-9)
     )

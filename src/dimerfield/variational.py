@@ -99,21 +99,8 @@ def _bracketed_root(fn, a, b) -> float:
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, value is {xcur!r}")
 
 
-def log_gamma_fn(x):
-    """x log x - x, continuously extended by 0 at x = 0.
-
-    This is the log of the Stirling surrogate for x!; the factorials it
-    replaces are accurate enough that the pressure error is O(log N / N).
-    Accepts scalars or arrays; rejects negative input.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError(f"log_gamma_fn requires x >= 0, got {x}")
-    out = _xlogx_minus_x(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def _xlogx_minus_x(arr):
+    """x log x - x, extended by 0 at x = 0: the log of Stirling's surrogate for x!."""
     safe = np.where(arr > 0.0, arr, 1.0)
     return np.where(arr > 0.0, arr * np.log(safe) - arr, 0.0)
 

@@ -60,6 +60,13 @@ class TestExponentCommand:
         assert code == 0
         assert 0.48 <= json.loads(out)["summary"]["exponent"] <= 0.52
 
+    @pytest.mark.parametrize("alpha", ["0.1", "0.3"])
+    def test_default_offsets_near_half(self, alpha):
+        # offsets of 1e-4 to 1e-2 J_c keep the fit on the square-root law
+        code, out = run_cli(["exponent", "--alpha", alpha])
+        assert code == 0
+        assert abs(json.loads(out)["summary"]["exponent"] - 0.5) <= 0.01
+
 
 class TestPressureCommand:
     def test_summary(self):
@@ -185,9 +192,10 @@ class TestExitCodes:
         code, _ = run_cli(["critical", "--alpha", "0.1"])
         assert code == 3
 
-    def test_unresolved_quadrature(self, capsys):
-        # one node cannot resolve z_star: its node-doubling discrepancy is 34
-        code, _ = run_cli(["gauss", "--quad-nodes", "1"])
+    def test_unresolved_quadrature(self, monkeypatch, capsys):
+        # one trapezoid step per standard deviation cannot resolve z_star
+        monkeypatch.setattr(cli.gauss, "_STEPS_PER_SIGMA", 1)
+        code, _ = run_cli(["gauss"])
         assert code == 3
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["category"] == "numerical"
@@ -238,7 +246,7 @@ READS = {
     "branches": {"alpha", "h_ab_grid", "j_abab_grid"},
     "exponent": {"alpha", "offsets"},
     "scaled": {"jprime", "alphas"},
-    "gauss": {"alpha", "h", "n_grid", "cap", "quad_nodes", "seed", "trials"},
+    "gauss": {"alpha", "h", "n_grid", "cap", "seed", "trials"},
     "convergence": {"alpha", "h", "j", "n_grid", "cap"},
 }
 # config key -> (flag, a valid value)
@@ -248,7 +256,6 @@ OPTIONS = {
     "j": ("--j", "1,0,0,0,1,0,0,0,1"),
     "n_grid": ("--n", "100"),
     "cap": ("--cap", "100"),
-    "quad_nodes": ("--quad-nodes", "100"),
     "seed": ("--seed", "1"),
     "trials": ("--trials", "1"),
     "h_ab_grid": ("--h-ab-grid", "5"),
@@ -269,7 +276,12 @@ BASE = {
     "convergence": ["convergence", "--n", "50"],
 }
 # removed options, by their old config key: every command rejects them
-REMOVED = {"h_ab": ("--h-ab", "-2"), "j_abab": ("--j-abab", "5"), "grid_resolution": ("--grid-res", "16")}
+REMOVED = {
+    "h_ab": ("--h-ab", "-2"),
+    "j_abab": ("--j-abab", "5"),
+    "grid_resolution": ("--grid-res", "16"),
+    "quad_nodes": ("--quad-nodes", "100"),
+}
 ANY_OPTION = {**OPTIONS, **REMOVED}
 UNREAD = [(cmd, key) for cmd in READS for key in ANY_OPTION if key not in READS[cmd]]
 

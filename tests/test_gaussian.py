@@ -30,8 +30,8 @@ def random_pd_field(rng, margin=0.1):
 class TestWeightMatrix:
     def test_values(self):
         wm = weight_matrix([0.0, 0.0, -1.0])
-        assert wm.w_a == 1.0
-        assert wm.w_ab == pytest.approx(np.exp(-1.0))
+        assert wm.w[0, 0] == 1.0
+        assert wm.w[0, 1] == pytest.approx(np.exp(-1.0))
         assert wm.det == pytest.approx(1.0 - np.exp(-2.0))
 
     def test_rejects_degenerate(self):
@@ -80,6 +80,61 @@ class TestWickIdentity:
     def test_caps(self):
         with pytest.raises(ValueError):
             z_via_gaussian(300, 0.5, [0, 0, -1])
+
+
+def _seed5_draws():
+    """The 200 (n, alpha, h) draws of numpy seed 5 that z_star's step was sized on."""
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(200):
+        n, alpha = int(rng.integers(1, 201)), float(rng.uniform(0.01, 0.99))
+        draws.append((n, alpha, random_pd_field(rng, margin=0.05)))
+    return draws
+
+
+SEED5_DRAWS = _seed5_draws()
+
+
+def _mp_log_z_star(n, alpha, h, dps=30):
+    """log Z_N* to about dps - 8 digits, apart from gaussian's quadrature.
+
+    With y = 1 + xi_B the inner integral is a closed form (Gradshteyn and
+    Ryzhik 3.462.1): int_0^inf y^(nu-1) exp(-q y^2/2 - g y) dy =
+    q^(-nu/2) Gamma(nu) exp(g^2/(4q)) D_-nu(g/sqrt(q)), nu = p_B + 1.  For
+    z <= 0, D_-nu(z) is summed from two positive 1F1 terms, which mpmath's
+    pcfd reaches only slowly there.  mp.quad does the outer xi_A integral.
+    MPMATH_VALUES came from dps 30 and 40, which agree to 22 digits; a case
+    takes 1 to 15 s.
+    """
+    with mp.workdps(dps):
+        w = mp.matrix([[mp.exp(h[0]), mp.exp(h[2])], [mp.exp(h[2]), mp.exp(h[1])]])
+        prec = mp.inverse(w) * n
+        p_a, p_b = mp.mpf(alpha) * n, (1 - mp.mpf(alpha)) * n
+        nu, q = p_b + 1, prec[1, 1]
+
+        def pcfd(z):
+            if z > 0:
+                return mp.pcfd(-nu, z)
+            x = z * z / 2
+            return 2 ** (-nu / 2) * mp.exp(-x / 2) * mp.sqrt(mp.pi) * (
+                mp.hyp1f1(nu / 2, mp.mpf(1) / 2, x) / mp.gamma((1 + nu) / 2)
+                - mp.sqrt(2) * z * mp.hyp1f1((1 + nu) / 2, mp.mpf(3) / 2, x) / mp.gamma(nu / 2)
+            )
+
+        def outer(xi_a):
+            g = prec[0, 1] * xi_a - q
+            inner = q ** (-nu / 2) * mp.gamma(nu) * mp.exp(g * g / (4 * q)) * pcfd(g / mp.sqrt(q))
+            return (1 + xi_a) ** p_a * mp.exp(-prec[0, 0] * xi_a**2 / 2 + prec[0, 1] * xi_a - q / 2) * inner
+
+        # split the outer range at the peak of xi_A and 8 of its sds either side
+        cov = np.array(w.tolist(), dtype=float) / n
+        xi = np.zeros(2)
+        for _ in range(500):
+            xi = 0.5 * (xi + cov @ (np.array([float(p_a), float(p_b)]) / (1.0 + xi)))
+        sd = np.sqrt(cov[0, 0])
+        cuts = [x for x in (xi[0] - 8 * sd, xi[0], xi[0] + 8 * sd) if x > -1 + 1e-3]
+        det = w[0, 0] * w[1, 1] - w[0, 1] ** 2
+        return mp.log(mp.quad(outer, [-1, *cuts, mp.inf])) - mp.log(2 * mp.pi) + mp.log(n) - mp.log(det) / 2
 
 
 class TestZStar:
@@ -132,8 +187,8 @@ class TestZStar:
         # at these weights the off-quadrant mass is negative, so Z* exceeds Z
         assert off < 0.0
 
-    # (n, alpha, h, log Z*) at the default nodes, as computed with the
-    # Gauss-Jacobi rule of scipy.special.roots_jacobi
+    # (n, alpha, h, log Z*) as the earlier Gauss-Jacobi quadrature gave them,
+    # with the 400-node rule of scipy.special.roots_jacobi
     SCIPY_RULE_VALUES = [
         (8, 0.5, (-1.5, -1.5, -2.0), 0.5354715034761428),
         (64, 0.5, (-1.5, -1.5, -2.0), 4.853597725306058),
@@ -148,66 +203,52 @@ class TestZStar:
     def test_default_node_values_unchanged(self, n, alpha, h, want):
         assert z_star(n, alpha, h).log_value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_unresolved_quadrature_raises(self):
+    # log Z* of SEED5_DRAWS[index] from _mp_log_z_star, to 20 digits
+    MPMATH_VALUES = {
+        184: "60.009815431685419343",  # n = 142, correlation 0.97: Gauss-Jacobi was 8.0e-9 off
+        167: "36.058767959218720200",  # n = 135, alpha = 0.048: Gauss-Jacobi was 2.5e-11 off
+        9: "0.35559487675891483387",  # n = 3, alpha = 0.942: a left tail 50 units of u long
+        47: "7.3402665644436345385",
+        157: "0.84959490320596795685",
+        20: "0.89562303882064406832",
+        71: "2.1399738740796140573",
+        0: "22.421914215329795162",
+        10: "34.551731556955560807",
+        55: "20.980002009762010140",
+        92: "58.806112752447981958",
+        52: "0.23795887346102218202",
+        102: "2.8386768908704151859",
+        150: "11.399812438665303776",
+    }
+
+    @pytest.mark.parametrize("index", sorted(MPMATH_VALUES))
+    def test_matches_mpmath(self, index):
+        est = z_star(*SEED5_DRAWS[index])
+        want = float(self.MPMATH_VALUES[index])
+        scale = max(1.0, abs(want))
+        assert abs(est.log_value - want) <= 1e-12 * scale
+        assert abs(est.log_value - want) <= max(1e-13 * scale, est.error_estimate)
+
+    def test_seed5_draws_resolve(self):
+        for n, alpha, h in SEED5_DRAWS:
+            est = z_star(n, alpha, h)
+            assert est.error_estimate <= 1e-12 * max(1.0, abs(est.log_value)), (n, alpha, h)
+
+    def test_unresolved_quadrature_raises(self, monkeypatch):
+        # one step per standard deviation: the nested grid of twice the step
+        # is off by about 0.03
+        monkeypatch.setattr(gaussian, "_STEPS_PER_SIGMA", 1)
         with pytest.raises(RuntimeError, match="unresolved"):
-            z_star(8, 0.5, [0.0, 0.0, -1.0], nodes=5)
-        with pytest.raises(ValueError, match="nodes"):
-            z_star(8, 0.5, [0.0, 0.0, -1.0], nodes=0)
-
-
-def _mp_jacobi_node(n, power, x):
-    """Newton-refine x to a zero of the degree-n Jacobi polynomial for the
-    weight (1 + t)^power at 40 digits, with its Christoffel log-weight."""
-    with mp.workdps(40):
-        b = mp.mpf(power)
-        a = [b * b / ((2 * k + b) * (2 * k + b + 2)) for k in range(n)]
-        sb = [mp.mpf(0)] + [
-            2 * k * (k + b) / ((2 * k + b) * mp.sqrt((2 * k + b + 1) * (2 * k + b - 1)))
-            for k in range(1, n + 1)
-        ]
-        x = mp.mpf(x)
-        for _ in range(2):
-            p_prev, p, d_prev, d, total = 0, mp.mpf(1), 0, 0, 0
-            for k in range(n):
-                total += p * p
-                p_prev, p = p, ((x - a[k]) * p - sb[k] * p_prev) / sb[k + 1]
-                d_prev, d = d, (p_prev + (x - a[k]) * d - sb[k] * d_prev) / sb[k + 1]
-            x -= p / d  # total is taken at the previous x, within 1e-30 of the zero
-        log_mu0 = (b + 1) * mp.log(2) - mp.log(b + 1)
-        # the recurrence coefficients, checked against mpmath's own Jacobi polynomials
-        assert abs(mp.jacobi(n, 0, b, x)) <= 1e-25 * abs(mp.jacobi(n - 1, 0, b, x))
-        return x, log_mu0 - mp.log(total)
+            z_star(8, 0.5, [0.0, 0.0, -1.0])
 
 
 class TestQuadratureRules:
-    @pytest.mark.parametrize("n", [200, 400])
-    @pytest.mark.parametrize("power", [0.5, 5.0, 60.0, 199.0])
-    def test_jacobi_matches_40_digit_reference(self, n, power):
-        t, logw = gaussian._jacobi(n, power)
-        picks = set(np.argsort(logw)[:3]) | set(np.linspace(0, n - 1, 6).astype(int))
-        for i in sorted(picks):
-            x, ref_logw = _mp_jacobi_node(n, power, t[i])
-            assert abs(float(x - t[i])) <= 2e-16
-            assert abs(float(ref_logw - logw[i])) <= 1e-11
-        mu0 = 2.0 ** (power + 1.0) / (power + 1.0)
-        assert np.exp(logw).sum() == pytest.approx(mu0, rel=1e-13)
-
-    def test_weights_below_the_normal_double_range(self):
-        # the smallest weight, about e^-723, is out of reach of any sweep that
-        # sums the p_k^2 without rescaling: the sum would overflow
-        t, logw = gaussian._jacobi(800, 199.0)
-        i = int(np.argmin(logw))
-        assert logw[i] < -709.0
-        x, ref_logw = _mp_jacobi_node(800, 199.0, t[i])
-        assert abs(float(ref_logw - logw[i])) <= 1e-11
-        assert np.exp(logw).sum() == pytest.approx(2.0**200 / 200.0, rel=1e-13)
-
     def test_cached_rules_are_read_only(self):
-        for t, logw in (gaussian._hermegauss(12), gaussian._legendre(12), gaussian._jacobi(12, 2.5)):
-            assert not t.flags.writeable
-            assert not logw.flags.writeable
-            with pytest.raises(ValueError):
-                logw[0] = 0.0
+        t, logw = gaussian._hermegauss(12)
+        assert not t.flags.writeable
+        assert not logw.flags.writeable
+        with pytest.raises(ValueError):
+            logw[0] = 0.0
 
 
 class TestLaplaceExponent:

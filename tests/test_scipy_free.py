@@ -1,9 +1,8 @@
 """The scipy-free runtime, checked with scipy as the oracle.
 
 dimerfield needs numpy only: Brent's method is written out in
-``variational._bracketed_root``, and ``gaussian._jacobi`` builds the
-Gauss-Jacobi rules of ``z_star``.  These tests hold both to scipy's own
-routines.
+``variational._bracketed_root``, which these tests hold to scipy's own
+``brentq``, and the Gaussian routes run with scipy blocked.
 """
 
 import json
@@ -16,9 +15,8 @@ import sys
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import roots_jacobi
 
-from dimerfield import gaussian, z_star
+from dimerfield import z_star
 from dimerfield.variational import _bracketed_root
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -42,11 +40,10 @@ import dimerfield
 from dimerfield import cli
 h = [-1.5, -1.5, -2.0]
 values = [dimerfield.z_star(n, 0.5, h).log_value for n in (8, 64)]
-jacobi_rules = dimerfield.gaussian._jacobi.cache_info().currsize
 holds = dimerfield.superadditivity_check(8, 24, 0.5, h).holds
 code = cli.main(["gauss"])
 loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
-print(json.dumps({"values": values, "jacobi_rules": jacobi_rules, "holds": holds, "code": code, "scipy": loaded}))
+print(json.dumps({"values": values, "holds": holds, "code": code, "scipy": loaded}))
 """
 
 
@@ -64,31 +61,9 @@ def test_import_and_critical_load_no_scipy():
 
 
 def test_gaussian_routes_run_with_scipy_blocked():
-    # n = 8 puts both axes on the Gauss-Jacobi rule, n = 64 on Gauss-Legendre
     report = _run_probe(_BLOCKED_PROBE)
     assert report["code"] == 0 and report["holds"] and report["scipy"] == []
-    assert report["jacobi_rules"] == 2  # 200 and 400 nodes at power 4
     assert report["values"] == [z_star(n, 0.5, [-1.5, -1.5, -2.0]).log_value for n in (8, 64)]
-
-
-def test_z_star_matches_the_scipy_jacobi_rule(monkeypatch):
-    # 20 of the 24 draws put at least one axis on the Gauss-Jacobi rule
-    rng = np.random.default_rng(404)
-    draws = []
-    while len(draws) < 24:
-        h = rng.uniform(-2.0, 1.0, size=3)
-        if h[0] + h[1] - 2.0 * h[2] > 0.1:
-            draws.append((int(rng.integers(1, 201)), float(rng.uniform(0.02, 0.98)), h))
-    ours = [z_star(n, alpha, h).log_value for n, alpha, h in draws]
-
-    def scipy_rule(n, power):
-        t, w = roots_jacobi(n, 0.0, power)
-        return t, np.log(w)
-
-    monkeypatch.setattr(gaussian, "_jacobi", scipy_rule)
-    for (n, alpha, h), got in zip(draws, ours):
-        want = z_star(n, alpha, h).log_value
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, alpha, h)
 
 
 def _family(kind, r, c, s):

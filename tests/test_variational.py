@@ -14,7 +14,6 @@ from dimerfield import (
     fixed_point_solve,
     gibbs_expected_densities,
     grad_psi,
-    log_gamma_fn,
     log_partition_exact,
     maximize_psi,
     pressure,
@@ -42,17 +41,6 @@ def random_params(rng, h_scale=1.0, j_scale=1.0):
         h=rng.uniform(-1.5, 0.5, 3) * h_scale,
         J=rng.uniform(-1.0, 1.0, (3, 3)) * j_scale,
     )
-
-
-class TestLogGamma:
-    def test_values(self):
-        assert log_gamma_fn(0.0) == 0.0
-        assert log_gamma_fn(1.0) == pytest.approx(-1.0)
-        assert log_gamma_fn(np.e) == pytest.approx(0.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            log_gamma_fn(-0.1)
 
 
 class TestEntropy:
