@@ -16,8 +16,6 @@ from .critical import (
     critical_residuals,
     d_mix_scan,
     exponent_scan,
-    f_alpha,
-    f_alpha_d1,
     f_alpha_d2,
     f_alpha_d3,
     mixed_dimer_fraction,
@@ -25,8 +23,6 @@ from .critical import (
     reduced_density_max,
     scaled_coupling_critical,
     solve_branches,
-    x_alpha,
-    y_alpha,
 )
 from .gaussian import (
     DimerWeightMatrix,
@@ -47,22 +43,18 @@ from .model import (
     admissible_count,
     d_mix_finite,
     gibbs_expected_densities,
-    hamiltonian,
-    log_config_count,
     log_partition_exact,
     split_sizes,
 )
 from .params import (
     BranchSolution,
     CriticalPoint,
-    DimerCounts,
     DimerDensities,
     ModelParams,
     PopulationSizes,
     ReducedParams,
 )
 from .variational import (
-    energy,
     entropy,
     fixed_point_residual,
     fixed_point_solve,
@@ -79,7 +71,6 @@ __all__ = [
     "BranchSolution",
     "CriticalPoint",
     "DEFAULT_ENUMERATION_CAP",
-    "DimerCounts",
     "DimerDensities",
     "DimerWeightMatrix",
     "DmixScan",
@@ -99,21 +90,16 @@ __all__ = [
     "critical_residuals",
     "d_mix_finite",
     "d_mix_scan",
-    "energy",
     "entropy",
     "exponent_scan",
-    "f_alpha",
-    "f_alpha_d1",
     "f_alpha_d2",
     "f_alpha_d3",
     "fixed_point_residual",
     "fixed_point_solve",
     "gibbs_expected_densities",
     "grad_psi",
-    "hamiltonian",
     "laplace_exponent",
     "laplace_maximum",
-    "log_config_count",
     "log_partition_exact",
     "maximize_psi",
     "mixed_dimer_fraction",
@@ -128,8 +114,6 @@ __all__ = [
     "split_sizes",
     "superadditivity_check",
     "weight_matrix",
-    "x_alpha",
-    "y_alpha",
     "z_star",
     "z_via_gaussian",
 ]

@@ -49,26 +49,6 @@ H_C_LIMIT = float(-2.0 - np.log((np.sqrt(5.0) - 1.0) / 2.0))
 _REACH = 1e-12
 
 
-def x_alpha(d, alpha):
-    """Positive root of x^2 + x = alpha - d; the A-monomer density."""
-    u = _checked_gap(d, alpha, alpha, "x_alpha")
-    return _pos_root(u)
-
-
-def y_alpha(d, alpha):
-    """Positive root of y^2 + y = 1 - alpha - d; the B-monomer density."""
-    u = _checked_gap(d, 1.0 - np.asarray(alpha, dtype=float), alpha, "y_alpha")
-    return _pos_root(u)
-
-
-def _checked_gap(d, limit, alpha, name):
-    d = np.asarray(d)
-    u = limit - d
-    if np.any(d < 0) or np.any(u < 0):
-        raise ValueError(f"{name}: d must lie in [0, {limit}] for alpha={alpha}")
-    return u
-
-
 # Brent evaluates the residuals below on Python floats, where ``math`` gives
 # the same bits as numpy's scalar ufuncs without their per-call overhead;
 # arrays and extended precision take the numpy path.
@@ -81,6 +61,7 @@ def _pos_root(u):
 
 
 def _xy(d, alpha):
+    """The monomer densities (x(d), y(d)) of the module docstring."""
     return _pos_root(alpha - d), _pos_root((1.0 - alpha) - d)
 
 
@@ -109,25 +90,15 @@ def _require_open_interval(d, alpha, name):
         raise ValueError(f"{name}: d must lie strictly inside (0, {top})")
 
 
-def f_alpha(d, alpha):
-    """log d - log x(d) - log y(d) on the open reduced interval."""
-    _require_open_interval(d, alpha, "f_alpha")
-    return _f_raw(d, alpha)
-
-
 def _f_raw(d, alpha):
+    """f(d) = log d - log x(d) - log y(d)."""
     x, y = _xy(d, alpha)
     log = math.log if isinstance(d, float) else np.log
     return log(d) - log(x) - log(y)
 
 
-def f_alpha_d1(d, alpha):
-    """First derivative of f; positive on the whole open interval."""
-    _require_open_interval(d, alpha, "f_alpha_d1")
-    return _f1_raw(d, alpha)
-
-
 def _f1_raw(d, alpha):
+    """f'(d), positive on the whole open interval."""
     # x'(d) = -1/(2x+1), so (log x)' = -1/(x (2x+1))
     x, y = _xy(d, alpha)
     return 1.0 / d + 1.0 / (x * (2.0 * x + 1.0)) + 1.0 / (y * (2.0 * y + 1.0))

@@ -18,7 +18,9 @@ statements into machine-checkable numbers:
   is entire, so the sum converges geometrically for every N;
 * Z_N* is evaluated with the population sizes alpha*N, (1-alpha)*N as exact
   reals, which is what makes log Z* super-additive for every decomposition
-  (integer rounding would break size additivity).
+  (integer rounding would break size additivity);
+* the large-N exponent's peak comes from z_star's Newton on the quadrant,
+  and a reflection proves that no point off the quadrant does better.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ _Z_STAR_TOL = 1e-9
 _DEPTH = 40.0
 # z_star's trapezoid steps per standard deviation of the peak
 _STEPS_PER_SIGMA = 8
-# grid points z_star sums at once, and the most it sums in all
-_BLOCK, _MAX_POINTS = 1 << 15, 1 << 24
+# grid points z_star sums at once, and the most it sums in all; a block's
+# 64 KiB float64 temporaries stay under glibc's default 128 KiB mmap
+# threshold, so they reuse the heap instead of faulting in new pages
+# each call
+_BLOCK, _MAX_POINTS = 1 << 13, 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +158,11 @@ def _rise(s_a, s_b, a, r, e, prec):
 
 
 def _peak(a, prec):
-    """The maximum of g by Newton on the curvature K = E P E + diag(a),
-    E = diag(e^u): K is positive definite, so each step rises, and it is
-    -Hessian(g) at the peak, so the steps converge quadratically.  A step
-    is halved until g does not fall.  Returns u, e^u, (P xi) e^u and K."""
+    """The maximum of g (a > 0, P positive definite) by Newton on the
+    curvature K = E P E + diag(a), E = diag(e^u): K is positive definite, so
+    each step rises, and it is -Hessian(g) at the peak, so the steps
+    converge quadratically.  A step is halved until g does not fall.
+    Returns u, e^u, (P xi) e^u and K; RuntimeError after 100 steps."""
     u = np.zeros(2)
     for _ in range(100):
         e = np.exp(u)
@@ -170,7 +176,7 @@ def _peak(a, prec):
                 break
             step = 0.5 * step
         u = u + step
-    raise RuntimeError(f"z_star: Newton found no peak of the integrand for a={a}")
+    raise RuntimeError(f"Newton found no peak of a.u - xi P xi / 2 for a={a}, P={prec.tolist()}")
 
 
 def _log_quadrant_integral(a, prec):
@@ -279,7 +285,8 @@ def laplace_exponent(xi, alpha: float, w: DimerWeightMatrix) -> float:
 
 @dataclass(frozen=True)
 class LaplaceMaximum:
-    """Stationary maximizer of the Laplace exponent plus certificates."""
+    """Stationary maximizer of the Laplace exponent plus certificates;
+    ``grid_max`` is ``value``, the bound that ``laplace_maximum`` proves."""
 
     xi: np.ndarray
     value: float
@@ -290,39 +297,22 @@ class LaplaceMaximum:
 def laplace_maximum(alpha: float, w: DimerWeightMatrix) -> LaplaceMaximum:
     """Global maximizer of the Laplace exponent over the plane.
 
-    Stationarity in the main region reads xi = W (alpha/(1+xi_A),
-    (1-alpha)/(1+xi_B)), whose right side has positive entries, so any
-    fixed point automatically has nonnegative coordinates; a damped
-    iteration from 0 finds it.  A coarse scan over all four smooth regions
-    certifies it is the global one (``grid_max``).
+    On the quadrant 1 + xi > 0 the exponent is strictly concave, and in
+    u = log(1 + xi) it is _peak's g(u) with a = (alpha, 1 - alpha) and
+    P = W^-1, so _peak's Newton finds its one stationary point.  No point
+    off the quadrant does better, as P_AB = -e^h_AB / det W < 0.  If both
+    1 + xi_i < 0, or one is and the other coordinate lies in (-1, 0), then
+    -xi is in the quadrant: the quadratic form is even and each log term
+    grows.  If 1 + xi_i < 0 and the other coordinate is >= 0, negating xi_i
+    lands in the quadrant, grows that log term, and turns the cross term
+    2 P_AB xi_A xi_B from >= 0 to <= 0.  RuntimeError if Newton fails.
     """
-    mat = w.w
-    xi = np.zeros(2)
-    for _ in range(500):
-        rhs = mat @ np.array([alpha / (1.0 + xi[0]), (1.0 - alpha) / (1.0 + xi[1])])
-        new = 0.5 * (xi + rhs)
-        if np.abs(new - xi).max() < 1e-15:
-            xi = new
-            break
-        xi = new
-    prec = np.linalg.inv(mat)
-    grad = -prec @ xi + np.array([alpha / (1.0 + xi[0]), (1.0 - alpha) / (1.0 + xi[1])])
+    a = np.array([alpha, 1.0 - alpha])
+    prec = np.linalg.inv(w.w)
+    xi = np.expm1(_peak(a, prec)[0])
+    grad = a / (1.0 + xi) - prec @ xi
     value = laplace_exponent(xi, alpha, w)
-
-    span = 3.0 + 20.0 * float(np.sqrt(mat.max()))
-    grid = np.linspace(-span, span, 801)
-    ga = grid[:, None]
-    gb = grid[None, :]
-    with np.errstate(divide="ignore"):
-        vals = (
-            -0.5 * (prec[0, 0] * ga * ga + 2.0 * prec[0, 1] * ga * gb + prec[1, 1] * gb * gb)
-            + alpha * np.log(np.abs(1.0 + ga))
-            + (1.0 - alpha) * np.log(np.abs(1.0 + gb))
-        )
-    grid_max = float(np.nanmax(np.where(np.isfinite(vals), vals, -np.inf)))
-    return LaplaceMaximum(
-        xi=xi, value=value, grad_norm=float(np.linalg.norm(grad)), grid_max=grid_max
-    )
+    return LaplaceMaximum(xi=xi, value=value, grad_norm=float(np.linalg.norm(grad)), grid_max=value)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from ._kernels import LOG2, partition_sums
-from .params import DimerCounts, ModelParams, PopulationSizes
+from ._kernels import partition_sums
+from .params import ModelParams, PopulationSizes
 
 #: Largest N the class sum accepts by default; the tests check the pruned sum
 #: and its tail bound up to here.
@@ -46,41 +46,6 @@ def split_sizes(n: int, alpha: float) -> PopulationSizes:
     n_a = int(round(alpha * n))
     n_a = min(max(n_a, 1), n - 1)
     return PopulationSizes(n=n, n_a=n_a, n_b=n - n_a)
-
-
-def _require_admissible(counts: DimerCounts, sizes: PopulationSizes) -> None:
-    m_a, m_b = counts.monomers(sizes)
-    if m_a < 0 or m_b < 0:
-        raise ValueError(
-            f"counts {counts} violate the hard-core constraints for {sizes}: "
-            f"monomer counts would be ({m_a}, {m_b})"
-        )
-
-
-def log_config_count(counts: DimerCounts, sizes: PopulationSizes) -> float:
-    """Log of the number of configurations realizing the count vector.
-
-    The class size is N_A! N_B! / (M_A! M_B! D_A! D_B! D_AB! 2^D_A 2^D_B):
-    distribute sites among monomers and dimer endpoints, then quotient out
-    the orderings within each intra-population pair.
-    """
-    _require_admissible(counts, sizes)
-    m_a, m_b = counts.monomers(sizes)
-    terms = [sizes.n_a, sizes.n_b]
-    minus = [m_a, m_b, counts.d_a, counts.d_b, counts.d_ab]
-    return float(
-        sum(math.lgamma(t + 1.0) for t in terms)
-        - sum(math.lgamma(t + 1.0) for t in minus)
-        - (counts.d_a + counts.d_b) * LOG2
-    )
-
-
-def hamiltonian(counts: DimerCounts, n: int, params: ModelParams) -> float:
-    """Energy -h.D - (1/2N) JD.D of a count vector at system size N."""
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    d = counts.vector
-    return float(-params.h @ d - (params.J @ d) @ d / (2.0 * n))
 
 
 def _ensemble_sums(n: int, params: ModelParams, cap: int):

@@ -130,33 +130,6 @@ class PopulationSizes:
 
 
 @dataclass(frozen=True)
-class DimerCounts:
-    """Counts (D_A, D_B, D_AB) of intra-A, intra-B and mixed dimers."""
-
-    d_a: int
-    d_b: int
-    d_ab: int
-
-    def __post_init__(self):
-        for name in ("d_a", "d_b", "d_ab"):
-            v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v}")
-            object.__setattr__(self, name, int(v))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.d_a, self.d_b, self.d_ab], dtype=float)
-
-    def monomers(self, sizes: PopulationSizes) -> tuple[int, int]:
-        """Monomer counts (M_A, M_B) left over by the hard-core relations."""
-        return (
-            sizes.n_a - 2 * self.d_a - self.d_ab,
-            sizes.n_b - 2 * self.d_b - self.d_ab,
-        )
-
-
-@dataclass(frozen=True)
 class DimerDensities:
     """A density point d = (d_A, d_B, d_AB), per total site."""
 
@@ -207,9 +180,6 @@ class ReducedParams:
             raise ValueError(f"j must be finite and > 0, got {j}")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "j", j)
-
-    def to_model_params(self) -> ModelParams:
-        return ModelParams.reduced(self.alpha, self.h, self.j)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Thermodynamic-limit machinery: entropy, energy, variational pressure.
+"""Thermodynamic-limit machinery: entropy, variational pressure, maximizer.
 
 The limiting pressure is the maximum over the hard-core density region of
 
@@ -137,15 +137,10 @@ def entropy(d: DimerDensities, alpha: float) -> float:
     return float(_entropy_arrays(d.d_a, d.d_b, d.d_ab, alpha))
 
 
-def energy(d: DimerDensities, params: ModelParams) -> float:
-    """Energy density eps(d) = -h.d - (1/2) Jd.d."""
-    v = d.vector
-    return float(-params.h @ v - 0.5 * (params.J @ v) @ v)
-
-
 def psi(d: DimerDensities, params: ModelParams) -> float:
-    """Variational pressure density psi = s - eps."""
-    return entropy(d, params.alpha) - energy(d, params)
+    """Variational pressure density psi = s - eps, eps(d) = -h.d - (1/2) d.J.d."""
+    _require_in_region(d, params.alpha)
+    return float(_psi_arrays(d.d_a, d.d_b, d.d_ab, params))
 
 
 def grad_psi(d: DimerDensities, params: ModelParams) -> np.ndarray:

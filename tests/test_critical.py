@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from dimerfield import (
+    ModelParams,
     ReducedParams,
     coexistence_field,
     critical_point,
     critical_residuals,
     d_mix_scan,
     exponent_scan,
-    f_alpha,
-    f_alpha_d1,
     f_alpha_d2,
     f_alpha_d3,
     maximize_psi,
@@ -21,39 +20,32 @@ from dimerfield import (
     reduced_density_max,
     scaled_coupling_critical,
     solve_branches,
-    x_alpha,
-    y_alpha,
 )
-from dimerfield.critical import H_C_LIMIT
+from dimerfield.critical import H_C_LIMIT, _f1_raw, _f_raw, _pos_root, _xy
 from dimerfield.params import DimerDensities
 
 
 class TestMonomerRoots:
     def test_upper_endpoint(self):
-        assert x_alpha(0.3, 0.3) == 0.0
+        assert _xy(0.3, 0.3)[0] == 0.0
 
     def test_closed_form(self):
-        assert x_alpha(0.0, 0.5) == pytest.approx((-1 + np.sqrt(3.0)) / 2, rel=1e-14)
+        assert _xy(0.0, 0.5)[0] == pytest.approx((-1 + np.sqrt(3.0)) / 2, rel=1e-14)
 
     def test_half_symmetry(self):
-        assert y_alpha(0.0, 0.5) == pytest.approx(x_alpha(0.0, 0.5), rel=1e-15)
+        x, y = _xy(0.0, 0.5)
+        assert y == pytest.approx(x, rel=1e-15)
 
     def test_quadratic_residual(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             alpha = rng.uniform(0.01, 0.99)
             d = rng.uniform(0.0, alpha)
-            x = x_alpha(d, alpha)
+            x = _pos_root(alpha - d)
             assert abs(x * x + x - (alpha - d)) < 1e-14
             dy = rng.uniform(0.0, 1.0 - alpha)
-            y = y_alpha(dy, alpha)
+            y = _pos_root(1.0 - alpha - dy)
             assert abs(y * y + y - (1.0 - alpha - dy)) < 1e-14
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            x_alpha(0.31, 0.3)
-        with pytest.raises(ValueError):
-            y_alpha(-0.01, 0.3)
 
 
 class TestPsi1:
@@ -68,24 +60,24 @@ class TestPsi1:
             alpha = rng.uniform(0.05, 0.9)
             rp = ReducedParams(alpha, rng.uniform(-3, 1), rng.uniform(0.1, 5.0))
             d = rng.uniform(0.05, 0.95) * reduced_density_max(alpha)
-            x, y = x_alpha(d, alpha), y_alpha(d, alpha)
+            x, y = _xy(d, alpha)
             point = DimerDensities(0.5 * x * x, 0.5 * y * y, d)
             assert psi1(d, rp) == pytest.approx(
-                psi(point, rp.to_model_params()), rel=1e-12
+                psi(point, ModelParams.reduced(rp.alpha, rp.h, rp.j)), rel=1e-12
             )
 
 
 class TestFAlpha:
     def test_diverges_down_at_zero(self):
-        assert f_alpha(1e-12, 0.5) < -20.0
+        assert _f_raw(1e-12, 0.5) < -20.0
 
     def test_diverges_up_at_alpha(self):
-        assert f_alpha(0.5 - 1e-12, 0.5) > 10.0
+        assert _f_raw(0.5 - 1e-12, 0.5) > 10.0
 
     @pytest.mark.parametrize("alpha", [0.5, 0.1, 1e-3])
     def test_first_derivative_positive(self, alpha):
         grid = np.geomspace(alpha * 1e-8, alpha * (1 - 1e-8), 1000)
-        assert np.all(f_alpha_d1(grid, alpha) > 0.0)
+        assert np.all(_f1_raw(grid, alpha) > 0.0)
 
     @pytest.mark.parametrize("alpha", [0.4, 0.07, 2e-3])
     def test_derivatives_match_finite_differences(self, alpha):
@@ -94,8 +86,8 @@ class TestFAlpha:
             d = rng.uniform(0.1, 0.9) * alpha
             step = 1e-6 * alpha
             for fn, dfn in (
-                (f_alpha, f_alpha_d1),
-                (f_alpha_d1, f_alpha_d2),
+                (_f_raw, _f1_raw),
+                (_f1_raw, f_alpha_d2),
                 (f_alpha_d2, f_alpha_d3),
             ):
                 fd = (fn(d + step, alpha) - fn(d - step, alpha)) / (2 * step)
@@ -104,9 +96,9 @@ class TestFAlpha:
 
     def test_rejects_endpoints(self):
         with pytest.raises(ValueError):
-            f_alpha(0.0, 0.5)
-        with pytest.raises(ValueError):
             f_alpha_d2(0.5, 0.5)
+        with pytest.raises(ValueError):
+            f_alpha_d3(0.0, 0.5)
 
 
 class TestCriticalPoint:
@@ -170,8 +162,8 @@ class TestCriticalPoint:
             d, h, j = cp.d_c, cp.h_c, cp.j_c
             # psi1' = h + J d - f, psi1'' = J - f', psi1''' = -f'', all zero
             # at the critical point; psi1'''' = -f''' < 0
-            assert abs(h + j * d - f_alpha(d, alpha)) < 1e-6
-            assert abs(j - f_alpha_d1(d, alpha)) / j < 1e-6
+            assert abs(h + j * d - _f_raw(d, alpha)) < 1e-6
+            assert abs(j - _f1_raw(d, alpha)) / j < 1e-6
             assert abs(f_alpha_d2(d, alpha)) * d**3 < 1e-6
             assert -f_alpha_d3(d, alpha) < 0.0
 
@@ -200,7 +192,7 @@ class TestBranches:
         cp = critical_point(5e-3)
         rp = ReducedParams(5e-3, cp.h_c - cp.d_c * 100.0, cp.j_c + 100.0)
         for b in solve_branches(rp):
-            assert abs(f_alpha(b.d, 5e-3) - rp.h - rp.j * b.d) < 1e-10
+            assert abs(_f_raw(b.d, 5e-3) - rp.h - rp.j * b.d) < 1e-10
 
     def test_saturated_phase(self):
         cp = critical_point(1e-2)
@@ -250,11 +242,11 @@ class TestReductionConsistency:
             if len(tops) != 1:
                 continue  # skip accidental coexistence draws
             tested += 1
-            results = maximize_psi(rp.to_model_params())
+            results = maximize_psi(ModelParams.reduced(alpha, h, j))
             assert len(results) == 1
             point = results[0][0]
             d = tops[0].d
-            x, y = x_alpha(d, alpha), y_alpha(d, alpha)
+            x, y = _xy(d, alpha)
             assert abs(point.d_ab - d) < 1e-8
             assert abs(point.d_a - 0.5 * x * x) < 1e-8
             assert abs(point.d_b - 0.5 * y * y) < 1e-8
@@ -369,6 +361,6 @@ class TestCoexistenceField:
 class TestMixedFractionHelper:
     def test_matches_components(self):
         d, alpha = 3e-4, 1e-3
-        x, y = x_alpha(d, alpha), y_alpha(d, alpha)
+        x, y = _xy(d, alpha)
         expected = d / (0.5 * x * x + 0.5 * y * y + d)
         assert mixed_dimer_fraction(d, alpha) == pytest.approx(expected, rel=1e-14)

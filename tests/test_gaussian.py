@@ -275,7 +275,62 @@ class TestLaplaceExponent:
             res = laplace_maximum(alpha, wm)
             assert res.grad_norm < 1e-9
             assert np.all(res.xi >= 0.0)
-            assert res.grid_max <= res.value + 1e-9
+
+
+class TestLaplaceMaximum:
+    @staticmethod
+    def draws(seed, count, lo=-2.0, hi=1.0, margin=0.1):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            while True:
+                h = rng.uniform(lo, hi, size=3)
+                if h[0] + h[1] - 2.0 * h[2] > margin:
+                    break
+            yield weight_matrix(h), rng.uniform(0.01, 0.99), rng
+
+    def test_below_grid_over_all_sign_regions(self):
+        # an 801 x 801 grid over the four sign regions of (1 + xi_A, 1 + xi_B)
+        for wm, alpha, _ in self.draws(31, 10):
+            res = laplace_maximum(alpha, wm)
+            prec = np.linalg.inv(wm.w)
+            grid = np.linspace(-1.0, 1.0, 801) * (3.0 + 20.0 * np.sqrt(wm.w.max()))
+            ga, gb = grid[:, None], grid[None, :]
+            with np.errstate(divide="ignore"):
+                vals = (
+                    -0.5 * (prec[0, 0] * ga * ga + 2.0 * prec[0, 1] * ga * gb + prec[1, 1] * gb * gb)
+                    + alpha * np.log(np.abs(1.0 + ga))
+                    + (1.0 - alpha) * np.log(np.abs(1.0 + gb))
+                )
+            assert vals.max() <= res.value + 1e-12
+            assert res.grid_max == res.value
+
+    def test_reflection_beats_every_off_quadrant_point(self):
+        # the argument of the docstring, point by point: xi_A < -1 here, and
+        # the mirror image swaps the roles of the axes
+        for wm, alpha, rng in self.draws(32, 10):
+            value = laplace_maximum(alpha, wm).value
+            span = 3.0 + 20.0 * np.sqrt(wm.w.max())
+            off = -1.0 - rng.uniform(1e-6, span, size=60)
+            cases = []
+            # xi_B < -1 or -1 < xi_B < 0: -xi
+            for other in (-1.0 - rng.uniform(1e-6, span, size=60), rng.uniform(-1.0 + 1e-6, 0.0, size=60)):
+                cases += [((a, b), (-a, -b)) for a, b in zip(off, other)]
+            # xi_B >= 0: xi_A negated
+            cases += [((a, b), (-a, b)) for a, b in zip(off, rng.uniform(0.0, span, size=60))]
+            for xi, back in cases + [(xi[::-1], back[::-1]) for xi, back in cases]:
+                assert min(back) > -1.0
+                mirrored = laplace_exponent(back, alpha, wm)
+                assert laplace_exponent(xi, alpha, wm) < mirrored <= value + 1e-12
+
+    def test_stationary_over_wide_fields(self):
+        for wm, alpha, _ in self.draws(33, 300, lo=-6.0, hi=6.0, margin=1e-3):
+            res = laplace_maximum(alpha, wm)
+            grad = np.array([alpha, 1.0 - alpha]) / (1.0 + res.xi) - np.linalg.solve(wm.w, res.xi)
+            tol = 1e-9 * max(1.0, np.abs(res.xi).max())
+            assert res.grad_norm <= tol
+            assert np.linalg.norm(grad) <= tol
+            assert np.all(res.xi >= 0.0)
+            assert res.value == laplace_exponent(res.xi, alpha, wm)
 
 
 class TestSuperadditivity:

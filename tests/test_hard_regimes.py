@@ -14,26 +14,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dimerfield import (
+    ModelParams,
     ReducedParams,
     coexistence_field,
     critical_point,
     maximize_psi,
     solve_branches,
 )
-from dimerfield.critical import x_alpha, y_alpha
+from dimerfield.critical import _xy
 
 alphas = st.floats(1e-3, 0.5)
 
 
 def reduced_point(d, alpha):
-    x, y = x_alpha(d, alpha), y_alpha(d, alpha)
+    x, y = _xy(d, alpha)
     return np.array([0.5 * x * x, 0.5 * y * y, d])
 
 
 def assert_matches_global_roots(rp, tol, roots=None):
     if roots is None:
         roots = [b.d for b in solve_branches(rp) if b.stability == "global-max"]
-    maxima = sorted(maximize_psi(rp.to_model_params()), key=lambda t: t[0].d_ab)
+    maxima = sorted(maximize_psi(ModelParams.reduced(rp.alpha, rp.h, rp.j)), key=lambda t: t[0].d_ab)
     assert len(maxima) == len(roots)
     for (point, _), d in zip(maxima, sorted(roots)):
         assert np.abs(point.vector - reduced_point(d, rp.alpha)).max() <= tol

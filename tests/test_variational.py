@@ -1,4 +1,4 @@
-"""Variational pressure: entropy/energy pieces, fixed point, maximization."""
+"""Variational pressure: entropy and energy terms, fixed point, maximization."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dimerfield import (
     DimerDensities,
     ModelParams,
-    energy,
     entropy,
     fixed_point_residual,
     fixed_point_solve,
@@ -83,18 +82,26 @@ class TestEntropy:
 
 
 class TestEnergy:
+    """psi - s is the energy term h.d + (1/2) d.J.d."""
+
     def test_free(self):
-        assert energy(DimerDensities(0.01, 0.02, 0.03), ModelParams(alpha=0.5)) == 0.0
+        d = DimerDensities(0.01, 0.02, 0.03)
+        assert psi(d, ModelParams(alpha=0.5)) - entropy(d, 0.5) == 0.0
 
     def test_linear(self):
         params = ModelParams(alpha=0.5, h=[0, 0, 1])
-        assert energy(DimerDensities(0, 0, 0.1), params) == pytest.approx(-0.1)
+        d = DimerDensities(0.01, 0.02, 0.1)
+        assert psi(d, params) - entropy(d, 0.5) == pytest.approx(0.1, rel=1e-12)
 
     def test_quadratic(self):
         J = np.zeros((3, 3))
         J[2, 2] = 4.0
+        J[0, 1] = 2.0  # alone in its pair, so it adds 2 d_A d_B to d.J.d
         params = ModelParams(alpha=0.5, J=J)
-        assert energy(DimerDensities(0, 0, 0.1), params) == pytest.approx(-0.02)
+        d = DimerDensities(0.01, 0.02, 0.1)
+        assert psi(d, params) - entropy(d, 0.5) == pytest.approx(
+            0.5 * (4.0 * 0.1**2 + 2.0 * 0.01 * 0.02), rel=1e-12
+        )
 
 
     def test_symmetric_part_computed_once(self):
@@ -293,12 +300,13 @@ class TestMaximizePsi:
     def test_one_maximizer_at_critical_point(self, alpha):
         # psi is flat to fourth order at d_c: a value tie cannot tell one
         # maximizer from several, only the basin test can
-        from dimerfield import critical_point, x_alpha, y_alpha
+        from dimerfield import critical_point
+        from dimerfield.critical import _xy
 
         cp = critical_point(alpha)
         results = maximize_psi(ModelParams.reduced(alpha, cp.h_c, cp.j_c))
         assert len(results) == 1
-        x, y = x_alpha(cp.d_c, alpha), y_alpha(cp.d_c, alpha)
+        x, y = _xy(cp.d_c, alpha)
         want = np.array([0.5 * x * x, 0.5 * y * y, cp.d_c])
         assert np.abs(results[0][0].vector - want).max() <= 1e-4 * cp.d_c
 
