@@ -4,7 +4,7 @@ One argparse parser reads every option.  Each option is declared once in
 ``_OPTIONS`` and each command accepts only the options its runner reads,
 so a flag the command would ignore is a usage error.  ``--config FILE``
 holds ``key=value`` lines keyed by option name (``alpha``, ``n_grid``,
-``cap``, ...); they are appended to the command line as
+``h_ab_grid``, ...); they are appended to the command line as
 ``--flag=value`` and parsed by the same subparser, so the file overrides
 flags and a key the command does not read is rejected too.  JSON output
 embeds the parsed options for provenance.  CSV output carries a header row
@@ -142,7 +142,6 @@ _OPTIONS = {
     "h": ("--h", dict(type=_parse_vec3, default="0,0,0", help="h_A,h_B,h_AB")),
     "j": ("--j", dict(type=_parse_mat3, default="0,0,0,0,0,0,0,0,0", help="J row by row")),
     "n_grid": ("--n", dict(type=_parse_int_grid, help="system sizes N")),
-    "cap": ("--cap", dict(type=int, default=model.DEFAULT_ENUMERATION_CAP, help="largest N")),
     "seed": ("--seed", dict(type=int, default=0, help="seed of the superadditivity draws")),
     "trials": ("--trials", dict(type=int, default=10, help="superadditivity triples")),
     "h_ab_grid": ("--h-ab-grid", dict(type=_parse_grid, help="mixed fields to scan")),
@@ -210,7 +209,7 @@ def _run_exact(cfg):
     params = _model_params(cfg)
     rows = []
     for n in cfg.n_grid:
-        log_z, s_a, s_b, s_ab, mix = model._ensemble_sums(n, params, cfg.cap)[:5]
+        log_z, s_a, s_b, s_ab, mix = model._ensemble_sums(n, params)[:5]
         rows.append(
             {
                 "n": n,
@@ -359,7 +358,7 @@ def _run_gauss(cfg):
     gauss.weight_matrix(params.h)
     rows = []
     for n in cfg.n_grid:
-        exact = model.log_partition_exact(n, params, cfg.cap)
+        exact = model.log_partition_exact(n, params)
         quad = gauss.z_via_gaussian(n, params.alpha, params.h)
         star = gauss.z_star(n, params.alpha, params.h)
         delta = abs(exact - quad.log_value)
@@ -408,7 +407,7 @@ def _run_convergence(cfg):
     params = _model_params(cfg)
     p = vari.pressure(params)
     ns = sorted(cfg.n_grid)
-    sums = [model._ensemble_sums(n, params, cfg.cap) for n in ns]
+    sums = [model._ensemble_sums(n, params) for n in ns]
     densities = [float(out[0]) / n for n, out in zip(ns, sums)]
     errors = np.abs(np.array(densities) - p)
     x = np.array([np.log(n) / n for n in ns])
@@ -435,7 +434,7 @@ _MODEL = ("alpha", "h", "j")
 #: Every command also takes --output, --format and --config.
 _COMMANDS = {
     "exact": (_run_exact, "finite-N enumeration over an N grid",
-              (*_MODEL, "n_grid", "cap"), {"n_grid": {"default": "4,8,16"}}),
+              (*_MODEL, "n_grid"), {"n_grid": {"default": "4,8,16"}}),
     "pressure": (_run_pressure, "variational pressure and maximizers", _MODEL, {}),
     "critical": (_run_critical, "critical point of the reduced model",
                  ("alpha",), _ALPHA_REQUIRED),
@@ -446,11 +445,10 @@ _COMMANDS = {
     "scaled": (_run_scaled, "scaled-coupling critical point and d_mix scan",
                ("jprime", "alphas"), {}),
     "gauss": (_run_gauss, "Gaussian-moment cross checks at J=0",
-              ("alpha", "h", "n_grid", "cap", "seed", "trials"),
+              ("alpha", "h", "n_grid", "seed", "trials"),
               {"n_grid": {"default": "2,4,8,16,32"}, "h": {"default": "0,0,-1"}}),
     "convergence": (_run_convergence, "finite-N pressure against the limit",
-                    (*_MODEL, "n_grid", "cap"),
-                    {"n_grid": {"default": "50,100,200,400"}}),
+                    (*_MODEL, "n_grid"), {"n_grid": {"default": "50,100,200,400"}}),
 }
 
 

@@ -39,6 +39,7 @@ from .params import (
     BranchSolution,
     CriticalPoint,
     ReducedParams,
+    _check_alpha,
 )
 from .variational import _bracketed_root, _entropy_arrays
 
@@ -74,19 +75,24 @@ def reduced_density_max(alpha: float) -> float:
 def psi1(d, rp: ReducedParams):
     """Reduced variational pressure: psi evaluated at (x^2/2, y^2/2, d)."""
     d = np.asarray(d, dtype=float)
-    top = reduced_density_max(rp.alpha)
-    if np.any(d < 0) or np.any(d > top):
-        raise ValueError(f"psi1: d must lie in [0, {top}] for alpha={rp.alpha}")
+    _require_closed_interval(d, rp.alpha, "psi1")
     x, y = _xy(d, rp.alpha)
     s = _entropy_arrays(0.5 * x * x, 0.5 * y * y, d, rp.alpha)
     out = s + rp.h * d + 0.5 * rp.j * d * d
     return float(out) if out.ndim == 0 else out
 
 
+# both interval checks are written so that NaN fails them
+def _require_closed_interval(d, alpha, name):
+    top = reduced_density_max(alpha)
+    if not np.all((d >= 0.0) & (d <= top)):
+        raise ValueError(f"{name}: d must lie in [0, {top}] for alpha={alpha}")
+
+
 def _require_open_interval(d, alpha, name):
     d_arr = np.asarray(d)
     top = reduced_density_max(alpha)
-    if np.any(d_arr <= 0) or np.any(d_arr >= top):
+    if not np.all((d_arr > 0.0) & (d_arr < top)):
         raise ValueError(f"{name}: d must lie strictly inside (0, {top})")
 
 
@@ -169,8 +175,7 @@ def critical_point(alpha: float) -> CriticalPoint:
     kept on the result so the defining residuals evaluate below 1e-9 at
     every alpha of interest.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
     d_hi = np.longdouble(_inflection(alpha))
     alpha_hi = np.longdouble(alpha)
     for _ in range(4):
@@ -237,8 +242,10 @@ def _upper_root(alpha, h, j, d_c) -> float:
 
 def mixed_dimer_fraction(d: float, alpha: float) -> float:
     """Limiting ratio of mixed dimers to all dimers at reduced couplings:
-    d / (x^2/2 + y^2/2 + d)."""
-    x, y = _xy(float(d), alpha)
+    d / (x^2/2 + y^2/2 + d), for d in [0, min(alpha, 1 - alpha)]."""
+    d = float(d)
+    _require_closed_interval(d, alpha, "mixed_dimer_fraction")
+    x, y = _xy(d, alpha)
     return float(d / (0.5 * x * x + 0.5 * y * y + d))
 
 
@@ -272,7 +279,7 @@ def exponent_scan(alpha: float, j_offsets) -> ExponentScan:
     offsets = np.sort(np.asarray(j_offsets, dtype=float).reshape(-1))
     if offsets.size < 2:
         raise ValueError("need at least two offsets to fit an exponent")
-    if np.any(offsets <= 0.0):
+    if not np.all(offsets > 0.0):
         raise ValueError("offsets must be positive")
     if np.any(offsets > 0.05 * cp.j_c):
         raise ValueError(

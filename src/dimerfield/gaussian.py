@@ -32,6 +32,7 @@ from functools import cache
 import numpy as np
 
 from .model import split_sizes
+from .params import _as_vector3, _check_alpha
 from .variational import _bracketed_root
 
 #: Largest N the quadrature evaluations accept.
@@ -60,9 +61,7 @@ class DimerWeightMatrix:
 
 def weight_matrix(h) -> DimerWeightMatrix:
     """Build W from the field vector; rejects non-positive-definite input."""
-    h = np.asarray(h, dtype=float).reshape(3)
-    if not np.all(np.isfinite(h)):
-        raise ValueError(f"h must be finite, got {h}")
+    h = _as_vector3(h, "h")
     h_a, h_b, h_ab = h
     if not h_a + h_b > 2.0 * h_ab:
         raise ValueError(
@@ -96,9 +95,11 @@ def _hermegauss(n: int):
     return t, logw
 
 
-def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:
+def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> GaussianEstimate:
     """log E[(1+xi_A)^n_a (1+xi_B)^n_b] by Gauss-Hermite, exact for the
-    polynomial integrand once 2*nodes - 1 >= n_a + n_b."""
+    polynomial integrand once 2*nodes - 1 >= n_a + n_b.  The error estimate
+    bounds the rounding of the signed sum: eps times the number of terms
+    times sum|term| / sum term."""
     chol = np.linalg.cholesky(cov)
     z, logw = _hermegauss(nodes)
     xi_a = chol[0, 0] * z[:, None] + np.zeros_like(z)[None, :]
@@ -119,31 +120,29 @@ def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> float:
     if n_b % 2 == 1:
         sign = np.where(base_b < 0.0, -sign, sign)
     m = t.max()
-    total = float(np.sum(sign * np.exp(t - m)))
+    terms = np.exp(t - m)
+    total = float(np.sum(sign * terms))
     if not total > 0.0:
         raise RuntimeError(
             "signed Gaussian moment came out non-positive; the quadrature "
             "cannot represent log Z here"
         )
-    return float(m + np.log(total))
+    error = float(np.finfo(float).eps * terms.size * terms.sum() / total)
+    return GaussianEstimate(log_value=float(m + np.log(total)), error_estimate=error)
 
 
 def z_via_gaussian(n: int, alpha: float, h) -> GaussianEstimate:
     """log Z_N through the Gaussian-moment identity, at integer sizes.
 
     n//2 + 2 Gauss-Hermite nodes per axis integrate the polynomial integrand
-    exactly; the error estimate is the discrepancy from 32 more nodes, i.e.
-    rounding noise.
+    exactly, so the error estimate is the rounding bound of the signed sum.
     """
     wm = weight_matrix(h)
     sizes = split_sizes(n, alpha)
+    n = sizes.n
     if n > MOMENT_CAP:
         raise ValueError(f"n={n} exceeds the moment cap {MOMENT_CAP}")
-    cov = wm.w / float(n)
-    k = n // 2 + 2
-    val = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k)
-    check = _signed_moment_gh(sizes.n_a, sizes.n_b, cov, k + 32)
-    return GaussianEstimate(log_value=val, error_estimate=abs(val - check))
+    return _signed_moment_gh(sizes.n_a, sizes.n_b, wm.w / float(n), n // 2 + 2)
 
 
 def _rise(s_a, s_b, a, r, e, prec):
@@ -257,8 +256,7 @@ def z_star(n: int, alpha: float, h) -> GaussianEstimate:
         raise ValueError(f"n must be a positive integer, got {n}")
     if n > MOMENT_CAP:
         raise ValueError(f"n={n} exceeds the moment cap {MOMENT_CAP}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
     a = np.array([alpha * n, (1.0 - alpha) * n]) + 1.0
     log_int, error = _log_quadrant_integral(a, n * np.linalg.inv(wm.w))
     value = log_int - math.log(2.0 * math.pi) - 0.5 * math.log(wm.det / (n * n))

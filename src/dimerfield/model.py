@@ -25,10 +25,10 @@ import math
 import numpy as np
 
 from ._kernels import partition_sums
-from .params import ModelParams, PopulationSizes
+from .params import ModelParams, PopulationSizes, _check_alpha
 
-#: Largest N the class sum accepts by default; the tests check the pruned sum
-#: and its tail bound up to here.
+#: Largest N the class sum accepts; the tests check the pruned sum and its
+#: tail bound up to here.
 DEFAULT_ENUMERATION_CAP = 2000
 
 
@@ -40,22 +40,21 @@ def split_sizes(n: int, alpha: float) -> PopulationSizes:
     """
     if int(n) != n or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     n = int(n)
-    n_a = int(round(alpha * n))
+    n_a = int(round(_check_alpha(alpha) * n))
     n_a = min(max(n_a, 1), n - 1)
     return PopulationSizes(n=n, n_a=n_a, n_b=n - n_a)
 
 
-def _ensemble_sums(n: int, params: ModelParams, cap: int):
+def _ensemble_sums(n: int, params: ModelParams):
     """(log Z, <D_A>, <D_B>, <D_AB>, <D_AB/|D|>, classes visited, log tail
     bound) at size N; see ``_kernels.partition_sums``."""
     sizes = split_sizes(n, params.alpha)
-    if n > cap:
+    n = sizes.n
+    if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap}, beyond which the pruned "
-            f"class sum is untested -- raise cap explicitly if you mean it"
+            f"n={n} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}, beyond "
+            f"which the pruned class sum is untested"
         )
     lgf = np.array([math.lgamma(k + 1.0) for k in range(n + 2)])
     return partition_sums(
@@ -69,35 +68,29 @@ def _ensemble_sums(n: int, params: ModelParams, cap: int):
     )
 
 
-def log_partition_exact(
-    n: int, params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def log_partition_exact(n: int, params: ModelParams) -> float:
     """log Z_N by the exact triple sum over admissible count vectors.
 
     Each class contributes log phi - |D| log N - H_N(D); the N^-|D| factor
     is what keeps (1/N) log Z_N finite as N grows.
     """
-    return float(_ensemble_sums(n, params, cap)[0])
+    return float(_ensemble_sums(n, params)[0])
 
 
-def gibbs_expected_densities(
-    n: int, params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
+def gibbs_expected_densities(n: int, params: ModelParams) -> np.ndarray:
     """Gibbs means <D>/N as a density 3-vector, by the same enumeration."""
-    _, s_a, s_b, s_ab = _ensemble_sums(n, params, cap)[:4]
+    _, s_a, s_b, s_ab = _ensemble_sums(n, params)[:4]
     return np.array([s_a, s_b, s_ab]) / n
 
 
-def d_mix_finite(
-    n: int, params: ModelParams, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
+def d_mix_finite(n: int, params: ModelParams) -> float:
     """Gibbs mean of the mixed-dimer fraction D_AB/|D| at finite N.
 
     The empty configuration (|D| = 0) contributes ratio 0; its weight
     vanishes in the thermodynamic limit, and this convention keeps the
     observable inside [0, 1].
     """
-    return float(_ensemble_sums(n, params, cap)[4])
+    return float(_ensemble_sums(n, params)[4])
 
 
 def admissible_count(sizes: PopulationSizes) -> int:

@@ -19,7 +19,6 @@ import numpy as np
 STABILITY_GLOBAL = "global-max"
 STABILITY_LOCAL = "local-max"
 STABILITY_UNSTABLE = "unstable"
-STABILITIES = (STABILITY_GLOBAL, STABILITY_LOCAL, STABILITY_UNSTABLE)
 #: Absolute pressure gap below which two maxima count as tied (global).
 TIE_TOL = 1e-9
 
@@ -44,7 +43,7 @@ def _as_matrix3(value, name: str) -> np.ndarray:
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not (0.0 < alpha < 1.0) or not np.isfinite(alpha):
+    if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return alpha
 
@@ -155,12 +154,6 @@ class DimerDensities:
             1.0 - alpha - 2.0 * self.d_b - self.d_ab,
         )
 
-    def in_region(self, alpha: float) -> bool:
-        """Hard-core feasibility: 2 d_A + d_AB <= alpha and B-analogue, up
-        to 1e-12 of rounding."""
-        m_a, m_b = self.monomers(alpha)
-        return m_a >= -1e-12 and m_b >= -1e-12
-
 
 @dataclass(frozen=True)
 class ReducedParams:
@@ -208,12 +201,9 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class BranchSolution:
-    """One solution of the reduced consistency equation, classified."""
+    """One solution of the reduced consistency equation, classified by one
+    of the ``STABILITY_*`` labels."""
 
     d: float
     psi1_value: float
     stability: str
-
-    def __post_init__(self):
-        if self.stability not in STABILITIES:
-            raise ValueError(f"stability must be one of {STABILITIES}")

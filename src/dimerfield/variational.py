@@ -123,8 +123,10 @@ def _entropy_arrays(d_a, d_b, d_ab, alpha):
 
 
 def _require_in_region(d: DimerDensities, alpha: float) -> None:
-    if not d.in_region(alpha):
-        m_a, m_b = d.monomers(alpha)
+    """Hard-core feasibility: 2 d_A + d_AB <= alpha and the B analogue, up
+    to 1e-12 of rounding."""
+    m_a, m_b = d.monomers(alpha)
+    if not (m_a >= -1e-12 and m_b >= -1e-12):
         raise ValueError(
             f"densities {d} lie outside the hard-core region for alpha={alpha} "
             f"(monomer densities ({m_a:.3e}, {m_b:.3e}))"
@@ -201,6 +203,7 @@ def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
     fixed m_B the first is a quadratic with one positive root, and the
     residual of the second along that root is strictly increasing in m_B
     with a sign change over (0, 1-alpha], so bracketing cannot fail.
+    RuntimeError when the two hard-core residuals end at 1e-12 or more.
     """
     beta = 1.0 - alpha
 
@@ -210,6 +213,12 @@ def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
 
     def resid_b(m_b):
         return m_b + w_b * m_b * m_b + w_ab * m_a_of(m_b) * m_b - beta
+
+    def resids(m_a, m_b):
+        return (
+            m_a + w_a * m_a * m_a + w_ab * m_a * m_b - alpha,
+            m_b + w_b * m_b * m_b + w_ab * m_a * m_b - beta,
+        )
 
     top = resid_b(beta)
     if top <= 0.0:
@@ -221,8 +230,7 @@ def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
     # two Newton corrections on the full 2x2 system take the bracketed
     # solution to machine-level residuals
     for _ in range(2):
-        f1 = m_a + w_a * m_a * m_a + w_ab * m_a * m_b - alpha
-        f2 = m_b + w_b * m_b * m_b + w_ab * m_a * m_b - beta
+        f1, f2 = resids(m_a, m_b)
         j11 = 1.0 + 2.0 * w_a * m_a + w_ab * m_b
         j12 = w_ab * m_a
         j21 = w_ab * m_b
@@ -239,39 +247,22 @@ def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
             break
         m_a -= step_a
         m_b -= step_b
+    resid = max(map(abs, resids(m_a, m_b)))
+    if not resid < 1e-12:
+        raise RuntimeError(
+            f"monomer solve did not converge (residual {resid:.3e}) for "
+            f"activities {(w_a, w_b, w_ab)}, alpha={alpha}"
+        )
     return m_a, m_b
 
 
-def _g_of_weights(w_a, w_b, w_ab, alpha) -> np.ndarray:
-    m_a, m_b = _solve_monomers(w_a, w_b, w_ab, alpha)
-    return np.array([0.5 * w_a * m_a * m_a, 0.5 * w_b * m_b * m_b, w_ab * m_a * m_b])
-
-
 def solve_zero_coupling(h, alpha: float) -> DimerDensities:
-    """Unique solution of the fixed-point system at J = 0.
-
-    The activities are the constants w = exp(h); the returned point
-    satisfies all three dimer equations with residual below 1e-12.
+    """Unique solution of the fixed-point system at J = 0: one step of the
+    self-consistency map from d = 0, whose activities w = exp(h) do not
+    depend on d.  The monomer densities solve their two equations with
+    residual below 1e-12.
     """
-    h = np.asarray(h, dtype=float).reshape(3)
-    if not np.all(np.isfinite(h)):
-        raise ValueError(f"h must be finite, got {h}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    w = np.exp(h)
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"exp(h) overflows for h={h}")
-    m_a, m_b = _solve_monomers(w[0], w[1], w[2], alpha)
-    resid = max(
-        abs(m_a + w[0] * m_a * m_a + w[2] * m_a * m_b - alpha),
-        abs(m_b + w[1] * m_b * m_b + w[2] * m_a * m_b - (1.0 - alpha)),
-    )
-    if not resid < 1e-12:
-        raise RuntimeError(
-            f"zero-coupling solve did not converge (residual {resid:.3e}) "
-            f"for h={h}, alpha={alpha}"
-        )
-    return DimerDensities(0.5 * w[0] * m_a * m_a, 0.5 * w[1] * m_b * m_b, w[2] * m_a * m_b)
+    return DimerDensities(*_map(ModelParams(alpha, h), np.zeros(3)))
 
 
 #: fixed_point_solve: initial damping, absolute and relative residual
@@ -290,7 +281,7 @@ def fixed_point_solve(params: ModelParams, d0: DimerDensities | None = None) -> 
     large J).
     """
     if d0 is None:
-        d = solve_zero_coupling(params.h, params.alpha).vector
+        d = _map(params, np.zeros(3))
     else:
         _require_in_region(d0, params.alpha)
         d = d0.vector.copy()
@@ -319,17 +310,13 @@ def _map(params: ModelParams, d: np.ndarray) -> np.ndarray:
     w = np.exp(field)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"effective field {field} overflows exp()")
-    return _g_of_weights(w[0], w[1], w[2], params.alpha)
+    m_a, m_b = _solve_monomers(w[0], w[1], w[2], params.alpha)
+    return np.array([0.5 * w[0] * m_a * m_a, 0.5 * w[1] * m_b * m_b, w[2] * m_a * m_b])
 
 
 def fixed_point_residual(params: ModelParams, d: DimerDensities) -> float:
     """max_i |d_i - g_i(h + J d)|: how far d is from solving the system."""
-    field = params.h + params.j_sym @ d.vector
-    w = np.exp(field)
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"effective field {field} overflows exp()")
-    g = _g_of_weights(*w, params.alpha)
-    return float(np.abs(d.vector - g).max())
+    return float(np.abs(d.vector - _map(params, d.vector)).max())
 
 
 def _psi_arrays(d_a, d_b, d_ab, params: ModelParams):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dimerfield.cli as cli
+from dimerfield import DEFAULT_ENUMERATION_CAP
 
 
 def run_cli(args):
@@ -181,7 +182,7 @@ class TestExitCodes:
         assert record["error"]["category"] == "validation"
 
     def test_cap_violation(self):
-        code, _ = run_cli(["exact", "--alpha", "0.5", "--n", "4", "--cap", "2"])
+        code, _ = run_cli(["exact", "--alpha", "0.5", "--n", str(DEFAULT_ENUMERATION_CAP + 1)])
         assert code == 2
 
     def test_numerical_failure(self, monkeypatch):
@@ -240,14 +241,14 @@ class TestExitCodes:
 # The options each command's runner reads, by config-file key.  Every other
 # option must be rejected: a flag the command would ignore is an error.
 READS = {
-    "exact": {"alpha", "h", "j", "n_grid", "cap"},
+    "exact": {"alpha", "h", "j", "n_grid"},
     "pressure": {"alpha", "h", "j"},
     "critical": {"alpha"},
     "branches": {"alpha", "h_ab_grid", "j_abab_grid"},
     "exponent": {"alpha", "offsets"},
     "scaled": {"jprime", "alphas"},
-    "gauss": {"alpha", "h", "n_grid", "cap", "seed", "trials"},
-    "convergence": {"alpha", "h", "j", "n_grid", "cap"},
+    "gauss": {"alpha", "h", "n_grid", "seed", "trials"},
+    "convergence": {"alpha", "h", "j", "n_grid"},
 }
 # config key -> (flag, a valid value)
 OPTIONS = {
@@ -255,7 +256,6 @@ OPTIONS = {
     "h": ("--h", "0,0,-1"),
     "j": ("--j", "1,0,0,0,1,0,0,0,1"),
     "n_grid": ("--n", "100"),
-    "cap": ("--cap", "100"),
     "seed": ("--seed", "1"),
     "trials": ("--trials", "1"),
     "h_ab_grid": ("--h-ab-grid", "5"),
@@ -281,6 +281,7 @@ REMOVED = {
     "j_abab": ("--j-abab", "5"),
     "grid_resolution": ("--grid-res", "16"),
     "quad_nodes": ("--quad-nodes", "100"),
+    "cap": ("--cap", "100"),
 }
 ANY_OPTION = {**OPTIONS, **REMOVED}
 UNREAD = [(cmd, key) for cmd in READS for key in ANY_OPTION if key not in READS[cmd]]

@@ -284,6 +284,11 @@ class TestExponentScan:
         with pytest.raises(ValueError):
             exponent_scan(1e-3, [-1.0, 10.0])
 
+    def test_rejects_nan(self):
+        # every comparison with NaN is False, so the check asks for all > 0
+        with pytest.raises(ValueError, match="positive"):
+            exponent_scan(0.1, [np.nan, 1e-3])
+
 
 class TestScaledCoupling:
     def test_reference_point(self):
@@ -364,3 +369,8 @@ class TestMixedFractionHelper:
         x, y = _xy(d, alpha)
         expected = d / (0.5 * x * x + 0.5 * y * y + d)
         assert mixed_dimer_fraction(d, alpha) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("d,alpha", [(-1.0, 0.5), (0.9, 0.5), (np.nan, 0.5)])
+    def test_rejects_d_outside_interval(self, d, alpha):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 0.5\]"):
+            mixed_dimer_fraction(d, alpha)

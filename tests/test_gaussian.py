@@ -60,6 +60,8 @@ class TestWickIdentity:
                 exact = log_partition_exact(n, ModelParams(alpha=alpha, h=h))
                 est = z_via_gaussian(n, alpha, h)
                 assert abs(est.log_value - exact) <= 1e-6 * max(1.0, abs(exact))
+                # the rounding bound covers the gap to the enumeration too
+                assert abs(est.log_value - exact) <= est.error_estimate
 
     def test_decorrelated_limit_factorizes(self):
         # h_AB -> -inf makes W diagonal; the moment splits into 1D moments
@@ -80,6 +82,9 @@ class TestWickIdentity:
     def test_caps(self):
         with pytest.raises(ValueError):
             z_via_gaussian(300, 0.5, [0, 0, -1])
+
+    def test_integral_float_n(self):
+        assert z_via_gaussian(4.0, 0.5, [0, 0, -1]) == z_via_gaussian(4, 0.5, [0, 0, -1])
 
 
 def _seed5_draws():

@@ -204,23 +204,32 @@ class TestPartitionFunction:
             )
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            log_partition_exact(101, ModelParams(alpha=0.5), cap=100)
-        log_partition_exact(101, ModelParams(alpha=0.5), cap=101)
+        # every entry point refuses N past the cap before enumerating
+        params = ModelParams(alpha=0.5)
+        for fn in (log_partition_exact, gibbs_expected_densities, d_mix_finite):
+            with pytest.raises(ValueError, match="enumeration cap"):
+                fn(DEFAULT_ENUMERATION_CAP + 1, params)
+
+    def test_integral_float_n(self):
+        params = ModelParams(alpha=0.5, h=[0.3, -0.6, 0.2])
+        assert log_partition_exact(2.0, params) == log_partition_exact(2, params)
 
     def test_at_enumeration_cap(self):
         # N = 2000 visits 6.4e6 of the 8.4e7 classes; the sum must still
-        # sit inside the log N / N envelope of the limit pressure
+        # sit inside the log N / N envelope of the limit pressure, and one
+        # site more is refused
         n = DEFAULT_ENUMERATION_CAP
         params = ModelParams(
             alpha=0.5,
             h=[0.3, -0.6, 0.2],
             J=[[0.5, -0.4, 0.2], [-0.4, -0.8, 0.6], [0.2, 0.6, 0.3]],
         )
-        log_z, _, _, _, _, visited, log_tail = _ensemble_sums(n, params, n)
+        log_z, _, _, _, _, visited, log_tail = _ensemble_sums(n, params)
         assert abs(log_z / n - pressure(params)) <= np.log(n) / n
         assert log_tail <= np.log(1e-15)
         assert visited < admissible_count(split_sizes(n, params.alpha))
+        with pytest.raises(ValueError, match="enumeration cap"):
+            _ensemble_sums(n + 1, params)
 
 
 class TestHardCoreClosure:
