@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -35,9 +36,6 @@ _UNITS = {
     "n1": "sites",
     "n2": "sites",
     "log_z": "nats",
-    "log_z_exact": "nats",
-    "log_z_gauss": "nats",
-    "log_z_star": "nats",
     "lhs": "nats",
     "rhs": "nats",
     "pressure_density": "nats/site",
@@ -47,8 +45,6 @@ _UNITS = {
     "abs_error": "nats/site",
     "envelope": "nats/site",
     "delta": "nats",
-    "slack": "nats",
-    "ratio": "pure",
     "alpha": "fraction",
     "alpha_c": "fraction",
     "d_a": "dimers/site",
@@ -68,23 +64,13 @@ _UNITS = {
     "h_coex": "field",
     "j_abab": "coupling",
     "j_c": "coupling",
-    "jprime": "coupling",
     "offset": "coupling",
-    "exponent": "pure",
-    "prefactor": "pure",
-    "c_fit": "pure",
     "classes_visited": "classes",
     "classes_total": "classes",
     "log_tail_bound": "nats",
-    "grad_norm": "pure",
-    "fp_residual": "pure",
-    "index": "pure",
     "check": "label",
     "stability": "label",
     "holds": "bool",
-    "res_f2": "pure",
-    "res_f1": "pure",
-    "res_f0": "pure",
     "res_d_c": "dimers/site",
     "res_j_c": "coupling",
     "res_h_c": "field",
@@ -462,9 +448,18 @@ def _write_csv(rows, fh) -> None:
         writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _finite(value):
+    """JSON has no NaN or infinity: a non-finite float is written as null."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(cfg, rows, summary, fh) -> None:
     payload = {"config": vars(cfg), "summary": summary, "rows": rows}
-    json.dump(payload, fh, indent=2, sort_keys=True)
+    json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 

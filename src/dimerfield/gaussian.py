@@ -68,7 +68,8 @@ def weight_matrix(h) -> DimerWeightMatrix:
             f"W is not positive definite: need h_A + h_B > 2 h_AB, "
             f"got {h_a:.6g} + {h_b:.6g} <= 2*{h_ab:.6g}"
         )
-    w = np.array([[np.exp(h_a), np.exp(h_ab)], [np.exp(h_ab), np.exp(h_b)]])
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        w = np.array([[np.exp(h_a), np.exp(h_ab)], [np.exp(h_ab), np.exp(h_b)]])
     if not np.all(np.isfinite(w)):
         raise ValueError(f"exp(h) overflows for h={h}")
     det = float(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0])

@@ -196,64 +196,48 @@ def _entropy_hessian(v, alpha, free=slice(None)) -> np.ndarray:
 
 
 def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
-    """Monomer densities solving the constant-activity system.
+    """Monomer densities (m_A, m_B) solving the constant-activity system.
 
-    Substituting the three dimer equations into the two hard-core identities
-    leaves m_A + w_A m_A^2 + w_AB m_A m_B = alpha (and the B analogue).  At
-    fixed m_B the first is a quadratic with one positive root, and the
-    residual of the second along that root is strictly increasing in m_B
-    with a sign change over (0, 1-alpha], so bracketing cannot fail.
-    RuntimeError when the two hard-core residuals end at 1e-12 or more.
+    The dimer equations turn the hard-core identities into
+    m_A + w_A m_A^2 + w_AB m_A m_B = alpha and the B analogue.  Let y be the
+    monomer density of the larger population and x the other's.  At fixed y
+    the x equation has one positive root x(y), and along it the y equation
+    increases with y.  Setting x to its population and then to 0 brackets y
+    between 3e-309 and 1 (y's population is at least 1/2), and Brent runs in
+    log y on the y equation less the x equation: the mixed term, which may
+    nearly fill both populations, drops out, and the larger population keeps
+    the rest at rounding.  An end that rounding puts on the wrong side is
+    the root.  RuntimeError when a hard-core residual ends at 1e-12 or more.
     """
     beta = 1.0 - alpha
+    flip = alpha > beta
+    w_x, w_y, x, y = (w_b, w_a, beta, alpha) if flip else (w_a, w_b, alpha, beta)
 
-    def m_a_of(m_b):
-        c = 1.0 + w_ab * m_b
-        return 2.0 * alpha / (c + np.sqrt(c * c + 4.0 * w_a * alpha))
+    def root(w, c, u):  # of w m^2 + c m = u, with no intermediate overflow
+        return 2.0 * (u / c) / (1.0 + math.hypot(1.0, 2.0 * math.sqrt(w * u) / c))
 
-    def resid_b(m_b):
-        return m_b + w_b * m_b * m_b + w_ab * m_a_of(m_b) * m_b - beta
+    def x_of(m_y):
+        return root(w_x, 1.0 + w_ab * m_y, x)
 
-    def resids(m_a, m_b):
-        return (
-            m_a + w_a * m_a * m_a + w_ab * m_a * m_b - alpha,
-            m_b + w_b * m_b * m_b + w_ab * m_a * m_b - beta,
-        )
+    def excess(s):
+        m_y = math.exp(s)
+        m_x = x_of(m_y)
+        return m_y + w_y * m_y * m_y - m_x - w_x * m_x * m_x - (y - x)
 
-    top = resid_b(beta)
-    if top <= 0.0:
-        m_b = beta
-    else:
-        m_b = _bracketed_root(resid_b, 0.0, beta)
-    m_a = m_a_of(m_b)
-
-    # two Newton corrections on the full 2x2 system take the bracketed
-    # solution to machine-level residuals
-    for _ in range(2):
-        f1, f2 = resids(m_a, m_b)
-        j11 = 1.0 + 2.0 * w_a * m_a + w_ab * m_b
-        j12 = w_ab * m_a
-        j21 = w_ab * m_b
-        j22 = 1.0 + 2.0 * w_b * m_b + w_ab * m_a
-        det = j11 * j22 - j12 * j21
-        step_a = (f1 * j22 - f2 * j12) / det
-        step_b = (f2 * j11 - f1 * j21) / det
-        if not (
-            np.isfinite(step_a)
-            and np.isfinite(step_b)
-            and 0.0 < m_a - step_a <= alpha
-            and 0.0 < m_b - step_b <= beta
-        ):
-            break
-        m_a -= step_a
-        m_b -= step_b
-    resid = max(map(abs, resids(m_a, m_b)))
+    lo, hi = (math.log(root(w_y, 1.0 + w_ab * m_x, y)) for m_x in (x, 0.0))
+    s = lo if excess(lo) >= 0.0 else hi if excess(hi) <= 0.0 else _bracketed_root(excess, lo, hi)
+    m_y = min(math.exp(s), y)  # exp(log y) may round above y
+    m_x = x_of(m_y)
+    resid = max(
+        abs(m_x + w_x * m_x * m_x + w_ab * m_x * m_y - x),
+        abs(m_y + w_y * m_y * m_y + w_ab * m_x * m_y - y),
+    )
     if not resid < 1e-12:
         raise RuntimeError(
             f"monomer solve did not converge (residual {resid:.3e}) for "
             f"activities {(w_a, w_b, w_ab)}, alpha={alpha}"
         )
-    return m_a, m_b
+    return (m_y, m_x) if flip else (m_x, m_y)
 
 
 def solve_zero_coupling(h, alpha: float) -> DimerDensities:
@@ -307,10 +291,11 @@ def fixed_point_solve(params: ModelParams, d0: DimerDensities | None = None) -> 
 def _map(params: ModelParams, d: np.ndarray) -> np.ndarray:
     """One step of the self-consistency map d -> g(exp(h + J_sym d))."""
     field = params.h + params.j_sym @ d
-    w = np.exp(field)
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        w = np.exp(field)
     if not np.all(np.isfinite(w)):
         raise RuntimeError(f"effective field {field} overflows exp()")
-    m_a, m_b = _solve_monomers(w[0], w[1], w[2], params.alpha)
+    m_a, m_b = _solve_monomers(*w.tolist(), params.alpha)
     return np.array([0.5 * w[0] * m_a * m_a, 0.5 * w[1] * m_b * m_b, w[2] * m_a * m_b])
 
 

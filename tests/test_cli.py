@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,6 +14,8 @@ import pytest
 
 import dimerfield.cli as cli
 from dimerfield import DEFAULT_ENUMERATION_CAP
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -89,6 +94,12 @@ class TestGaussCommand:
         assert kinds == {"wick", "ratio", "superadd"}
         assert all(r["holds"] for r in data["rows"] if r["check"] != "ratio")
 
+    def test_csv_booleans(self):
+        code, out = run_cli(["gauss", "--n", "2", "--trials", "1", "--format", "csv"])
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert rows and all(row.endswith(",true") for row in rows)
+
     def test_bare_command_runs(self):
         # the shared default h = (0, 0, 0) is not positive definite
         code, out = run_cli(["gauss"])
@@ -106,7 +117,11 @@ class TestConvergenceCommand:
         assert errs == sorted(errs, reverse=True)
         for row in data["rows"]:
             assert 0 < row["classes_visited"] <= row["classes_total"]
-            assert row["log_tail_bound"] <= np.log(1e-15)
+            if row["classes_visited"] == row["classes_total"]:
+                # nothing skipped: the bound's log is -inf, which JSON writes as null
+                assert row["log_tail_bound"] is None
+            else:
+                assert row["log_tail_bound"] <= np.log(1e-15)
         # the pruning diagnostics are data: a rerun prints the same bytes
         assert run_cli(["convergence", "--alpha", "0.5", "--n", "50,100,200"])[1] == out
 
@@ -127,6 +142,86 @@ class TestBranchesCommand:
         data = json.loads(out)
         assert all(r["stability"] in ("global-max", "local-max", "unstable") for r in data["rows"])
         assert len(data["rows"]) >= 6
+
+
+class TestStrictJson:
+    # RFC 8259 JSON has no NaN: a value with none to report is written as null
+    @pytest.mark.parametrize(
+        "args, fields",
+        [
+            # a one-point scan has no exponent to fit
+            (
+                ["scaled", "--jprime", "160000", "--alphas", "0.0105"],
+                [("summary", "exponent"), ("rows", "exponent")],
+            ),
+            # d_B is frozen at 0, so grad_psi refuses the point
+            (["pressure", "--alpha", "0.4", "--h=0.2,-720,-0.3"], [("rows", "grad_norm")]),
+        ],
+    )
+    def test_no_nan_in_json(self, args, fields):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code, out = run_cli(args)
+        assert code == 0
+        data = json.loads(out, parse_constant=reject)
+        for block, key in fields:
+            assert (data[block][0] if block == "rows" else data[block])[key] is None
+
+    def test_csv_keeps_nan(self):
+        code, out = run_cli(["pressure", "--alpha", "0.4", "--h=0.2,-720,-0.3", "--format", "csv"])
+        assert code == 0
+        header, row = out.splitlines()[:2]
+        assert dict(zip(header.split(","), row.split(",")))["grad_norm [pure]"] == "nan"
+
+
+class TestOverflowError:
+    # the overflow check's JSON record is the only line on stderr: no numpy
+    # warning comes first
+    @pytest.mark.parametrize(
+        "args, code, category",
+        [(["pressure", "--h", "800,0,0"], 3, "numerical"), (["gauss", "--h", "800,800,0"], 2, "validation")],
+    )
+    def test_one_json_line_on_stderr(self, args, code, category):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "dimerfield.cli", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == code
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"]["category"] == category
+
+
+class TestGridSpecs:
+    @pytest.mark.parametrize(
+        "ranged, listed",
+        [
+            (["exact", "--n", "4:16:3g"], ["exact", "--n", "4,8,16"]),
+            (
+                ["exponent", "--alpha", "1e-3", "--offsets", "10:40:4"],
+                ["exponent", "--alpha", "1e-3", "--offsets", "10,20,30,40"],
+            ),
+        ],
+    )
+    def test_range_matches_list(self, ranged, listed):
+        out = run_cli(ranged)
+        assert out[0] == 0 and out == run_cli(listed)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["exact", "--n", "4:8"], "range spec must be lo:hi:n"),
+            (["exact", "--n", "1:2:0"], "needs at least one point"),
+            (["exact", "--n", "2.5"], "must contain integers"),
+            (["scaled", "--jprime", "160000", "--alphas", "nan"], "produced no finite values"),
+            (["pressure", "--h", "1,2"], "expected 3 comma-separated values"),
+            (["pressure", "--j", "1,2,3"], "expected 9 comma-separated values"),
+        ],
+    )
+    def test_bad_value_exits_2(self, args, message, capsys):
+        assert run_cli(args)[0] == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -347,7 +442,7 @@ class TestOptions:
 
 
 def readme_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```", 2)[1]
     return [
         shlex.split(line, comments=True)[1:]
@@ -356,7 +451,17 @@ def readme_commands():
     ]
 
 
+def readme_python_block():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("## Python API", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
 class TestReadme:
+    def test_python_api_block_runs(self):
+        with redirect_stdout(io.StringIO()) as out:
+            exec(compile(readme_python_block(), "README.md", "exec"), {})
+        assert out.getvalue()
+
     @pytest.mark.parametrize("args", readme_commands(), ids=lambda args: " ".join(args))
     def test_documented_command_runs(self, args):
         assert run_cli(args)[0] == 0

@@ -21,6 +21,7 @@ from dimerfield import (
     scaled_coupling_critical,
     solve_branches,
 )
+from dimerfield import critical
 from dimerfield.critical import H_C_LIMIT, _f1_raw, _f_raw, _pos_root, _xy
 from dimerfield.params import DimerDensities
 
@@ -220,6 +221,25 @@ class TestBranches:
         # f' reaches J = 1e13 only closer to the ends than top * 1e-12
         with pytest.raises(RuntimeError, match="beyond reach"):
             solve_branches(ReducedParams(0.3, 0.0, 1e13))
+
+    def test_float64_tangency_above_the_threshold(self, monkeypatch):
+        # J sits above f'(d_c) (1 + 1e-12), yet f - J d does not fall from d1
+        # to d2 in float64: the window is a tangency, one root next to d_c
+        cp = critical_point(0.1)
+        delta = 1.1e-12 * cp.j_c
+        taken = []
+
+        def spy(alpha, j, d_c):
+            edges, level = real_edges(alpha, j, d_c)
+            taken.append(j > _f1_raw(d_c, alpha) * (1.0 + 1e-12) and len(edges) == 2)
+            return edges, level
+
+        real_edges = critical._edges
+        monkeypatch.setattr(critical, "_edges", spy)
+        branches = solve_branches(ReducedParams(0.1, cp.h_c - cp.d_c * delta, cp.j_c + delta))
+        assert taken == [True]
+        assert [b.stability for b in branches] == ["global-max"]
+        assert branches[0].d == pytest.approx(cp.d_c, rel=1e-4)
 
     def test_single_sign_change_below_jc_over_field_grid(self):
         cp = critical_point(1e-2)

@@ -1,5 +1,7 @@
 """Gaussian-moment representation: Wick identity, Z*, super-additivity."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -37,6 +39,13 @@ class TestWeightMatrix:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             weight_matrix([0.0, 0.0, 0.0])
+
+    def test_overflow_raises_value_error(self):
+        # the overflow check reports it, with no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                weight_matrix([800.0, 800.0, 0.0])
 
     def test_accepts_tight_but_positive(self):
         wm = weight_matrix([1.0, 1.0, 0.9])

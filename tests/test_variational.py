@@ -1,5 +1,10 @@
 """Variational pressure: entropy and energy terms, fixed point, maximization."""
 
+import itertools
+import math
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,7 @@ from dimerfield import (
     solve_zero_coupling,
 )
 from dimerfield import variational
-from dimerfield.variational import _hess_psi
+from dimerfield.variational import _hess_psi, _solve_monomers
 
 GOLDEN_M = (np.sqrt(5.0) - 1.0) / 4.0
 SYMMETRIC_D = DimerDensities(GOLDEN_M**2 / 2, GOLDEN_M**2 / 2, GOLDEN_M**2)
@@ -241,6 +246,73 @@ class TestZeroCoupling:
             assert np.abs(g).max() < 1e-8
 
 
+def corner_triples():
+    """Every activity at one of six values from 0 to e^709.7, at four alphas."""
+    values = [0.0, 5e-324, 1e-300, 1.0, 1e300, math.exp(709.7)]
+    return [(w, alpha) for w in itertools.product(values, repeat=3) for alpha in (0.05, 0.4, 0.5, 0.95)]
+
+
+def grid_triples():
+    """3,000 activity triples spread over e^-745 to e^709.7, some exactly 0."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(3000):
+        w = [0.0 if rng.uniform() < 0.15 else math.exp(rng.uniform(-745, 709.7)) for _ in range(3)]
+        out.append((tuple(w), rng.uniform(0.01, 0.99)))
+    return out
+
+
+def newton_correction(w, alpha, m_a, m_b):
+    """The relative size of one Newton step on the two hard-core equations
+    in log m, taken in 400-digit arithmetic: how far (m_A, m_B) is from the
+    exact solution, even where the mixed term leaves the rest below 1e-300."""
+    with mp.workdps(400):
+        w_a, w_b, w_ab, ma, mb = map(mp.mpf, (*w, m_a, m_b))
+        mixed = w_ab * ma * mb
+        f_a = ma + w_a * ma * ma + mixed - mp.mpf(alpha)
+        f_b = mb + w_b * mb * mb + mixed - mp.mpf(1.0 - alpha)
+        j_a = ma + 2 * w_a * ma * ma + mixed
+        j_b = mb + 2 * w_b * mb * mb + mixed
+        det = j_a * j_b - mixed * mixed
+        return float(max(abs(f_a * j_b - f_b * mixed), abs(f_b * j_a - f_a * mixed)) / det)
+
+
+class TestSolveMonomers:
+    @pytest.mark.parametrize("triples", [corner_triples, grid_triples])
+    def test_solves_every_triple(self, triples):
+        # no activity of a finite field overflows the solve or stops it on
+        # Brent's iteration cap
+        worst = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w, alpha in triples():
+                m_a, m_b = _solve_monomers(*w, alpha)
+                assert 0.0 < m_a <= alpha and 0.0 < m_b <= 1.0 - alpha
+                mixed = w[2] * m_a * m_b
+                assert abs(m_a + w[0] * m_a * m_a + mixed - alpha) < 1e-12
+                assert abs(m_b + w[1] * m_b * m_b + mixed - (1.0 - alpha)) < 1e-12
+                worst = max(worst, newton_correction(w, alpha, m_a, m_b))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize(
+        "w, alpha",
+        [
+            # the mixed term fills both equal populations but for 7e-151
+            ((0.0, 0.0, 1e300), 0.5),
+            ((1.0, 1e300, 1e300), 0.5),
+            # alpha next to 1: m_B is resolved against a population of 1e-10
+            ((1e3, 1e-3, 1.0), 1.0 - 1e-10),
+            ((2.0, 3.0, 5.0), 1.0 - 1e-10),
+            ((2.0, 3.0, 5.0), 1e-10),
+        ],
+    )
+    def test_ill_conditioned_pairs(self, w, alpha):
+        # residuals below 1e-12 allow answers many decades off here; the
+        # solve must still be accurate to rounding
+        m_a, m_b = _solve_monomers(*w, alpha)
+        assert newton_correction(w, alpha, m_a, m_b) < 1e-13
+
+
 class TestFixedPoint:
     def test_zero_coupling_ignores_start(self):
         rng = np.random.default_rng(3)
@@ -259,6 +331,25 @@ class TestFixedPoint:
             params = random_params(rng)
             out = fixed_point_solve(params)
             assert fixed_point_residual(params, out) < 1e-10
+
+    def test_damping_halves_when_the_residual_grows(self, monkeypatch):
+        # at J = -300 everywhere the undamped map overshoots: the residual
+        # grows once and the damping drops from 1/2 to 1/4
+        params = ModelParams(0.5, J=np.full((3, 3), -300.0))
+        residuals = []
+
+        def spy(p, d):
+            out = real_map(p, d)
+            residuals.append(np.abs(out - d).max())
+            return out
+
+        real_map = variational._map
+        monkeypatch.setattr(variational, "_map", spy)
+        out = fixed_point_solve(params)
+        assert any(b > a for a, b in zip(residuals[1:], residuals[2:]))
+        assert fixed_point_residual(params, out) < 1e-12
+        [(best, _)] = maximize_psi(params)
+        assert np.abs(out.vector - best.vector).max() < 1e-10
 
     def test_two_phases_from_two_starts(self):
         from dimerfield import critical_point
@@ -349,6 +440,13 @@ class TestMaximizePsi:
         monkeypatch.setattr(variational, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(RuntimeError, match="gradient tolerance"):
             maximize_psi(params)
+
+    def test_overflowing_activity_raises_runtime_error(self):
+        # the overflow check reports it, with no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="overflows"):
+                maximize_psi(ModelParams(0.5, h=[800.0, 0.0, 0.0]))
 
     def test_stationarity_of_outputs(self):
         rng = np.random.default_rng(12)
