@@ -15,26 +15,43 @@ and bounds each cube that meets the polytope by
 
 each max taken over the cube's box.  U is the largest term of the cube when
 J_AB = 0, as on every reduced, coexistence and critical set, and bounds it
-otherwise.  The kernel sums the cubes' exact terms in descending order of
-bound, with a streaming log-sum-exp, and stops at the first cube whose bound
-lies more than ``_CUT`` nats below the largest term seen.  Every skipped
-class is below its cube's bound, so the skipped mass is at most
-sum_skipped |cube| e^U, and the kernel reports that bound relative to Z.
-Since Z >= e^max, the bound is at most e^-60 times the number of points in
-the boxes: 7.6e-19 at the enumeration cap N = 2000 (alpha = 0.5, 8.7e7
-points), and 2e-35 to 1.3e-24 as measured there on reduced, coexistence,
-critical and full-J sets.  That is far below float64 rounding, so the
-result is exact up to a reported relative tail bound.
+otherwise.  The bounds are formed in float64, one D_AB block of planes at a
+time.
 
+The kernel visits the cubes in descending order of U and stops at the first
+cube whose U lies more than ``_CUT`` nats below the running log Z (the log
+of the sum so far).  Every skipped class is below its cube's bound, so the
+skipped mass is at most sum_skipped |cube| e^U, and the kernel reports that
+bound relative to Z.  Since Z >= e^max, the bound is at most e^-60 times
+the number of points in the boxes: 7.6e-19 at the enumeration cap N = 2000
+(alpha = 0.5, 8.7e7 points), and 1.1e-21 to 3.2e-21 as measured there on
+reduced, coexistence, critical and full-J sets.  That is far below float64
+rounding, so the result is exact up to a reported relative tail bound.
 Best-first order needs no peak finder: both peaks on a coexistence line,
 and the widened soft axis at the critical point, carry the largest bounds.
-The visiting order (ties broken by cube index) and the per-cube sums are
-fixed, so results are deterministic run to run.
 
-The bounds are formed in float64, one D_AB block of planes at a time.  Each
-cube's terms are the sum of three 2-D planes, one per pair of axes the terms
-depend on, formed in extended precision relative to the largest bound and
-rounded to float64 once.  So the kernel needs numpy alone.
+Within a cube the sums need no 3-D array.  With t = ac(D_A, D_AB) +
+bc(D_B, D_AB) + ab(D_A, D_B), the matrix G = (E_ac E_bc^T) * E_ab of the
+planes' exponentials holds the cube's terms summed over D_AB, which gives
+sum e^t, sum D_A e^t and sum D_B e^t, and a second product with E_ac
+weighted by D_AB gives sum D_AB e^t (``_cube_sums_matrix``).  The coupling
+plane is centred on the box, and each factor is scaled per D_AB column
+relative to the cube's plane bound s, so every product term is e^(t - s)
+<= 1.  The cubes' sums join a streaming log-sum-exp whose reference is the
+largest s so far, not the largest bound: at large J_AB the corner term
+makes U loose, and s can lie over 1,000 nats below it, where e^(s - U)
+would underflow to 0.
+Two cases take the 3-D array of terms (``_cube_sums_3d``): the mixed
+fraction <D_AB/|D|>, which is not a sum of planes, and a coupling span
+|J_AB| ((_BLOCK - 1) / 2)^2 / N above ``_SPAN_LIMIT``, where the centred
+plane could push terms that count below the float64 range.
+
+The planes are built in extended precision relative to the largest bound
+and each exponent is rounded to float64 once, so a term carries the
+rounding of differences rather than of the O(N log N) and |J| N pieces it
+is made of, and the kernel needs numpy alone.  The visiting order (ties
+broken by cube index) and the per-cube sums are fixed, so results are
+deterministic run to run.
 """
 
 from __future__ import annotations
@@ -108,38 +125,107 @@ def _cube_bounds(n_a, n_b, log_n, inv_n, lgf, h, j):
     return lo, hi, bound + inv_n * (j[0, 1] * corners).max(axis=0)
 
 
-def _cube_terms(n_a, n_b, log_n, inv_n, lgf, h, j, lo, hi, centre):
-    """Terms t - centre on the box [lo, hi] (-inf off the polytope), with the
-    box axes as broadcastable columns and the number of admissible classes.
-
-    t is the sum of three planes: the (D_A, D_AB) terms with those of D_AB
-    alone, the (D_B, D_AB) terms, and the D_A D_B coupling.  ``lgf`` is in
-    extended precision, and each plane is taken relative to its maximum
-    before it is rounded to float64 once, so a term carries the rounding of
-    those differences rather than of the O(N log N) and |J| N pieces it is
-    made of.
-    """
+def _cube_planes(n_a, n_b, log_n, inv_n, lgf, h, j, lo, hi, centre):
+    """Box axes of the cube [lo, hi], its (D_A, D_AB) and (D_B, D_AB) planes
+    in extended precision (-inf off the polytope), the first with the D_AB
+    terms less ``centre``, and the number of admissible classes."""
     a, b, c = (np.arange(lo[k], hi[k] + 1) for k in range(3))
     plane_ac = _population_plane(n_a, lgf, a, c, log_n, inv_n, h[0], j[0, 0], j[0, 2]) + (
         _mixed_terms(n_a, n_b, lgf, c, log_n, inv_n, h[2], j[2, 2]) - centre
     )
     plane_bc = _population_plane(n_b, lgf, b, c, log_n, inv_n, h[1], j[1, 1], j[1, 2])
-    plane_ab = inv_n * (j[0, 1] * np.multiply.outer(a.astype(lgf.dtype), b))
+    count = int((np.isfinite(plane_ac).sum(axis=0) * np.isfinite(plane_bc).sum(axis=0)).sum())
+    return a, b, c, plane_ac, plane_bc, count
+
+
+def _cube_sums_3d(a, b, c, plane_ac, plane_bc, inv_n, j_ab, mix):
+    """(s, sums) with sums = e^-s (sum e^t, sum D_A e^t, sum D_B e^t,
+    sum D_AB e^t, sum D_AB/|D| e^t) over the cube, s its largest term; the
+    last is 0 unless ``mix``.
+
+    The terms fill a 3-D array: each plane is taken relative to its maximum
+    before it is rounded to float64 once, so a term carries the rounding of
+    those differences rather than of the O(N log N) and |J| N pieces it is
+    made of.
+    """
+    plane_ab = inv_n * (j_ab * np.multiply.outer(a.astype(plane_ac.dtype), b))
     tops = [plane.max() for plane in (plane_ac, plane_bc, plane_ab)]
     ac, bc, ab = ((plane - top).astype(float) for plane, top in zip((plane_ac, plane_bc, plane_ab), tops))
-    t = (ac + float(sum(tops)))[:, None, :] + bc[None, :, :]
+    t = ac[:, None, :] + bc[None, :, :]
     t += ab[:, :, None]
-    count = int((np.isfinite(ac).sum(axis=0) * np.isfinite(bc).sum(axis=0)).sum())
-    return t, a[:, None, None], b[None, :, None], c[None, None, :], count
+    t_max = t.max()
+    t -= t_max
+    e = np.exp(t, out=t)
+    e_ab = e.sum(axis=2)
+    e_c = e.sum(axis=(0, 1))
+    mixed = 0.0
+    if mix:
+        share = np.add.outer(a, b)[:, :, None] + c.astype(float)
+        np.maximum(share, 1.0, out=share)
+        np.divide(c, share, out=share)
+        mixed = np.vdot(e, share)
+    sums = (e_c.sum(), e_ab.sum(axis=1) @ a, e_ab.sum(axis=0) @ b, e_c @ c, mixed)
+    return float(t_max + sum(tops)), np.array(sums)
 
 
-def partition_sums(n_a, n_b, log_n, inv_n, lgf, h, j):
+def _cube_sums_matrix(a, b, c, plane_ac, plane_bc, inv_n, j_ab):
+    """(s, sums) as ``_cube_sums_3d`` without the mixed fraction, from two
+    products of the cube's 2-D factors; s bounds the cube's terms.
+
+    The coupling plane is centred at the box centre (a0, b0),
+        J_AB a b / N = J_AB (a - a0)(b - b0) / N + J_AB b0 (a - a0) / N + J_AB a0 b / N,
+    and the two linear parts join the (D_A, D_AB) and (D_B, D_AB) planes
+    ac and bc, which leaves ab' = J_AB (a - a0)(b - b0) / N.  With alpha_c,
+    beta_c the column maxima of ac and bc, m = max_c (alpha_c + beta_c) and
+    s = m + max ab', the factors
+        E_ac = exp(ac + beta_c - m),  E_bc = exp(bc - beta_c),  E_ab = exp(ab' - max ab')
+    are at most 1, and G = (E_ac E_bc^T) * E_ab holds e^(t - s) summed over
+    D_AB, while ((E_ac * D_AB) E_bc^T) * E_ab holds D_AB e^(t - s).  Each
+    exponent is formed in extended precision and rounded to float64 once.
+    """
+    wide = plane_ac.dtype.type
+    a0, b0 = wide(a[0] + a[-1]) / 2, wide(b[0] + b[-1]) / 2
+    x, y = a - a0, b - b0
+    jn = wide(j_ab) * inv_n
+    ac = plane_ac + (jn * b0) * x[:, None]
+    bc = plane_bc + (jn * a0) * b[:, None]
+    ab = jn * np.multiply.outer(x, y)
+    beta = bc.max(axis=0)
+    m = (ac.max(axis=0) + beta).max()
+    ab_top = ab.max()
+    e_ac = np.exp((ac + (beta - m)).astype(float))
+    e_bc = np.exp((bc - beta).astype(float)).T
+    e_ab = np.exp((ab - ab_top).astype(float))
+    g = (e_ac @ e_bc) * e_ab
+    g_c = ((e_ac * c) @ e_bc) * e_ab
+    sums = (g.sum(), g.sum(axis=1) @ a, g.sum(axis=0) @ b, g_c.sum(), 0.0)
+    return float(m + ab_top), np.array(sums)
+
+
+#: Largest coupling span X = |J_AB| ((_BLOCK - 1) / 2)^2 / N the matrix sums
+#: take.  |ab'| <= X on a cube, so its largest term is at least m - X, and a
+#: term within _CUT of that has E_ac E_bc >= e^-(2X + _CUT) and E_ab >= e^-2X:
+#: G holds it as at least e^-(4X + _CUT).  Keeping that a normal float64
+#: keeps every term that counts out of underflow (a term more than _CUT
+#: below its cube's largest is below e^-_CUT Z).  Above the limit, about
+#: 162 nats, the kernel sums the 3-D array, whose terms are relative to the
+#: cube's largest.
+_SPAN_LIMIT = (-math.log(np.finfo(float).tiny) - _CUT) / 4
+
+
+def _coupling_span(inv_n, j_ab):
+    """X = |J_AB| ((_BLOCK - 1) / 2)^2 / N, the largest |ab'| on a cube."""
+    return abs(j_ab) * ((_BLOCK - 1) / 2) ** 2 * inv_n
+
+
+def partition_sums(n_a, n_b, log_n, inv_n, lgf, h, j, *, mix=False):
     """Pruned class sum over admissible (D_A, D_B, D_AB).
 
     Returns (log_z, <D_A>, <D_B>, <D_AB>, <D_AB/|D|>, classes_visited,
     log_tail_bound) under the Gibbs weights phi * N^-|D| * exp(-H).  The
-    mixed fraction uses the convention D_AB/|D| = 0 on the empty
-    configuration.  ``classes_visited`` counts the admissible classes summed;
+    mixed fraction is computed only with ``mix`` (nan otherwise), with the
+    convention D_AB/|D| = 0 on the empty configuration.
+    ``classes_visited`` counts the admissible classes summed;
     ``log_tail_bound`` is log(sum_skipped |cube| e^U / Z), a bound on the
     relative mass of the skipped classes, rigorous up to the float64 rounding
     of U (-inf when none is skipped).
@@ -149,39 +235,35 @@ def partition_sums(n_a, n_b, log_n, inv_n, lgf, h, j):
     # terms are summed relative to the largest bound, from extended-precision planes
     centre = bound[order[0]]
     lgf_wide = lgf.astype(np.longdouble)
-    m = -np.inf
+    use_3d = mix or _coupling_span(inv_n, j[0, 1]) > _SPAN_LIMIT
+    ref = -np.inf
     sums = np.zeros(5)
     visited = 0
     stop = len(order)
     for pos, k in enumerate(order):
-        if bound[k] - centre < m - _CUT:
+        if pos and bound[k] - centre < ref + math.log(sums[0]) - _CUT:
             stop = pos
             break
-        t, d_a, db, dab, count = _cube_terms(n_a, n_b, log_n, inv_n, lgf_wide, h, j, lo[k], hi[k], centre)
-        t_max = t.max()
-        if t_max > m:
-            sums *= np.exp(m - t_max)
-            m = t_max
-        t -= m
-        e = np.exp(t, out=t)
-        e_ab = e.sum(axis=2)
-        e_c = e.sum(axis=(0, 1))
-        mix = (d_a + db).astype(float) + dab
-        np.maximum(mix, 1.0, out=mix)
-        np.divide(dab, mix, out=mix)
-        sums += (
-            e_c.sum(),
-            e_ab.sum(axis=1) @ d_a.ravel(),
-            e_ab.sum(axis=0) @ db.ravel(),
-            e_c @ dab.ravel(),
-            np.vdot(e, mix),
+        a, b, c, plane_ac, plane_bc, count = _cube_planes(
+            n_a, n_b, log_n, inv_n, lgf_wide, h, j, lo[k], hi[k], centre
         )
+        if use_3d:
+            s, cube = _cube_sums_3d(a, b, c, plane_ac, plane_bc, inv_n, j[0, 1], mix)
+        else:
+            s, cube = _cube_sums_matrix(a, b, c, plane_ac, plane_bc, inv_n, j[0, 1])
+        if s > ref:
+            sums *= math.exp(ref - s)
+            ref = s
+        sums += math.exp(s - ref) * cube
         visited += count
-    log_z = centre + m + np.log(sums[0])
+    log_z = centre + ref + math.log(sums[0])
     skipped = order[stop:]
     volume = np.prod(hi[skipped] - lo[skipped] + 1, axis=1)
     log_tail = float(np.logaddexp.reduce(bound[skipped] + np.log(volume)) - log_z)
-    return (log_z, *(sums[1:] / sums[0]), visited, log_tail)
+    means = sums[1:] / sums[0]
+    if not mix:
+        means[3] = np.nan
+    return (log_z, *means, visited, log_tail)
 
 
 def active_backend() -> str:

@@ -195,7 +195,7 @@ def _run_exact(cfg):
     params = _model_params(cfg)
     rows = []
     for n in cfg.n_grid:
-        log_z, s_a, s_b, s_ab, mix = model._ensemble_sums(n, params)[:5]
+        log_z, s_a, s_b, s_ab, mix = model._ensemble_sums(n, params, mix=True)[:5]
         rows.append(
             {
                 "n": n,

@@ -78,7 +78,7 @@ def weight_matrix(h) -> DimerWeightMatrix:
     return DimerWeightMatrix(w=mat, det=det)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianEstimate:
     """A log-value plus the quadrature's own error estimate."""
 
@@ -282,7 +282,7 @@ def laplace_exponent(xi, alpha: float, w: DimerWeightMatrix) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaplaceMaximum:
     """Stationary maximizer of the Laplace exponent plus certificates;
     ``grid_max`` is ``value``, the bound that ``laplace_maximum`` proves."""
@@ -314,7 +314,7 @@ def laplace_maximum(alpha: float, w: DimerWeightMatrix) -> LaplaceMaximum:
     return LaplaceMaximum(xi=xi, value=value, grad_norm=float(np.linalg.norm(grad)), grid_max=value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuperadditivityResult:
     """log Z*_{N1} + log Z*_{N2} against log Z*_{N1+N2}."""
 
@@ -338,7 +338,7 @@ def superadditivity_check(n1: int, n2: int, alpha: float, h) -> SuperadditivityR
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixingLemmaReport:
     """Numerical certificates for the two mixing lemmas."""
 

@@ -3,13 +3,19 @@
 For a mean-field Hamiltonian that depends on a configuration only through
 the count vector D = (D_A, D_B, D_AB), summing the combinatorial weight of
 each class over the admissible integer region gives Z_N with no sampling
-involved anywhere.  The kernel sums the classes block by block in
-descending order of an upper bound, the largest term of each block's own
-planes (exact when J_AB = 0), and skips the blocks that lie more than 60
-nats below the largest term; it reports a bound on the skipped mass
-relative to Z, which stays below 1e-18 up to the enumeration cap (at most
-7.6e-19 a priori, 1.3e-24 or less measured), far below float64 rounding.
-So the result is exact up to that reported bound.
+involved anywhere.  The kernel (``_kernels.partition_sums``) sums the
+classes in cubes of side 32, in descending order of an upper bound built
+from the class term's planes (exact when J_AB = 0), and stops at the first
+cube whose bound lies more than 60 nats below the running log Z; it reports
+a bound on the skipped mass relative to Z, which stays below 1e-18 up to
+the enumeration cap (at most 7.6e-19 a priori, 3.2e-21 or less measured),
+far below float64 rounding.  So the result is exact up to that reported
+bound.  Each cube's sums of e^t, D_A e^t, D_B e^t and D_AB e^t come from
+two 32 x 32 matrix products of the planes' exponentials, each scaled per
+D_AB column below the cube's plane bound; only the mixed fraction
+<D_AB/|D|> (``d_mix_finite``), and couplings J_AB too large for those
+factors to stay in float64 range, take a 3-D array of the cube's terms.
+
 These routines are the oracle the variational and Gaussian-moment routes are
 verified against.
 
@@ -46,9 +52,10 @@ def split_sizes(n: int, alpha: float) -> PopulationSizes:
     return PopulationSizes(n=n, n_a=n_a, n_b=n - n_a)
 
 
-def _ensemble_sums(n: int, params: ModelParams):
+def _ensemble_sums(n: int, params: ModelParams, *, mix: bool = False):
     """(log Z, <D_A>, <D_B>, <D_AB>, <D_AB/|D|>, classes visited, log tail
-    bound) at size N; see ``_kernels.partition_sums``."""
+    bound) at size N; the mixed fraction is nan unless ``mix``.  See
+    ``_kernels.partition_sums``."""
     sizes = split_sizes(n, params.alpha)
     n = sizes.n
     if n > DEFAULT_ENUMERATION_CAP:
@@ -65,6 +72,7 @@ def _ensemble_sums(n: int, params: ModelParams):
         lgf,
         np.ascontiguousarray(params.h),
         np.ascontiguousarray(params.j_sym),
+        mix=mix,
     )
 
 
@@ -90,7 +98,7 @@ def d_mix_finite(n: int, params: ModelParams) -> float:
     vanishes in the thermodynamic limit, and this convention keeps the
     observable inside [0, 1].
     """
-    return float(_ensemble_sums(n, params)[4])
+    return float(_ensemble_sums(n, params, mix=True)[4])
 
 
 def admissible_count(sizes: PopulationSizes) -> int:

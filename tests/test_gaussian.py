@@ -1,5 +1,8 @@
 """Gaussian-moment representation: Wick identity, Z*, super-additivity."""
 
+import copy
+import dataclasses
+import pickle
 import warnings
 
 import mpmath as mp
@@ -412,3 +415,35 @@ class TestMixingLemmas:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             mixing_lemma_checks(0)
+
+
+class TestResultObjects:
+    """The result types carry slots: no per-instance ``__dict__``."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        w = weight_matrix([-0.2, -0.3, -1.0])
+        return [
+            z_star(8, 0.4, [-0.2, -0.3, -1.0]),
+            laplace_maximum(0.4, w),
+            superadditivity_check(3, 5, 0.4, [-0.2, -0.3, -1.0]),
+            mixing_lemma_checks(10, seed=1),
+        ]
+
+    def test_types(self, results):
+        names = [type(r).__name__ for r in results]
+        assert names == ["GaussianEstimate", "LaplaceMaximum", "SuperadditivityResult", "MixingLemmaReport"]
+
+    def test_copies_are_equal(self, results):
+        for r in results:
+            for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r)):
+                assert type(twin) is type(r)
+                # LaplaceMaximum holds an array, so compare field by field
+                np.testing.assert_equal(dataclasses.asdict(twin), dataclasses.asdict(r))
+
+    def test_slots_and_frozen(self, results):
+        for r in results:
+            assert not hasattr(r, "__dict__")
+            field = dataclasses.fields(r)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, field, 0)

@@ -8,6 +8,8 @@ sum drops nothing that float64 can see; the formula itself is checked
 against independent oracles in ``test_model.py``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,14 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from dimerfield import ModelParams, admissible_count, coexistence_field, critical_point, split_sizes
-from dimerfield._kernels import LOG2, _cube_bounds, active_backend, partition_sums
+from dimerfield._kernels import (
+    LOG2,
+    _SPAN_LIMIT,
+    _coupling_span,
+    _cube_bounds,
+    active_backend,
+    partition_sums,
+)
 
 REL = 1e-13
 TAIL = 1e-15
@@ -86,16 +95,22 @@ def plain_sums(n_a, n_b, log_n, inv_n, lgf, h, j):
 
 
 def assert_matches_plain_sum(n, params):
+    """Both paths of the kernel against the plain sum: the matrix sums
+    (``mix=False``, no mixed fraction) and the 3-D sum (``mix=True``).
+    Returns the 3-D path's output."""
     args = _kernel_args(n, params)
-    out = partition_sums(*args)
     ref = plain_sums(*args)
-    for got, want in zip(out[:5], ref):
-        assert abs(got - want) <= REL * abs(want), (got, want)
     total = admissible_count(split_sizes(n, params.alpha))
-    assert out[6] <= np.log(TAIL)
-    assert out[5] <= total
-    if out[6] == -np.inf:
-        assert out[5] == total
+    for mix in (False, True):
+        out = partition_sums(*args, mix=mix)
+        for got, want in zip(out[: 4 + mix], ref):
+            assert abs(got - want) <= REL * abs(want), (mix, got, want)
+        if not mix:
+            assert np.isnan(out[4])
+        assert out[6] <= np.log(TAIL)
+        assert out[5] <= total
+        if out[6] == -np.inf:
+            assert out[5] == total
     return out
 
 
@@ -204,8 +219,40 @@ def test_numpy_path_deterministic():
         (40, ModelParams(alpha=0.37, h=[0.2, -0.4, 0.6], J=0.8 * np.eye(3))),
         (400, _reduced(0.5, 1.5)),
     ]
-    for n, params in cases:
+    for (n, params), mix in itertools.product(cases, (False, True)):
         args = _kernel_args(n, params)
-        first = partition_sums(*args)
-        second = partition_sums(*args)
-        assert first == second
+        first = partition_sums(*args, mix=mix)
+        second = partition_sums(*args, mix=mix)
+        np.testing.assert_array_equal(first, second)
+
+
+def _stress_draws(count):
+    """Seeded (N, params) draws with fields up to +-30 and couplings up to
+    10^2.5 in size, where a term's pieces span hundreds of nats."""
+    rng = np.random.default_rng(20261020)
+    draws = []
+    for _ in range(count):
+        alpha = rng.uniform(0.1, 0.9)
+        s = 10 ** rng.uniform(0, 2.5)
+        h = rng.uniform(-30, 30, 3)
+        j = rng.uniform(-s, s, (3, 3))
+        n = int(rng.choice([200, 400, 800]))
+        draws.append((n, ModelParams(alpha=alpha, h=h, J=(j + j.T) / 2)))
+    return draws
+
+
+def test_matrix_sums_match_3d_sums_on_stress_draws():
+    draws = _stress_draws(130)
+    # draw 56 (N = 400, J_AB = 144.5) underflowed to -inf when each plane
+    # was scaled by its own maximum, and takes the matrix sums; draw 129
+    # (N = 200, J_AB = 172.5) lies past the span limit, so both calls
+    # take the 3-D sum
+    for k, matrix_path in ((56, True), (129, False)):
+        n, params = draws[k]
+        assert (_coupling_span(1.0 / n, params.j_sym[0, 1]) <= _SPAN_LIMIT) == matrix_path
+    for k in [*range(60), 129]:
+        args = _kernel_args(*draws[k])
+        matrix, full = partition_sums(*args), partition_sums(*args, mix=True)
+        assert abs(matrix[0] - full[0]) <= 1e-13 * max(1.0, abs(full[0])), (k, matrix[0], full[0])
+        for got, want in zip(matrix[1:4], full[1:4]):
+            assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)

@@ -215,7 +215,7 @@ class TestPartitionFunction:
         assert log_partition_exact(2.0, params) == log_partition_exact(2, params)
 
     def test_at_enumeration_cap(self):
-        # N = 2000 visits 6.4e6 of the 8.4e7 classes; the sum must still
+        # N = 2000 visits 5.3e6 of the 8.4e7 classes; the sum must still
         # sit inside the log N / N envelope of the limit pressure, and one
         # site more is refused
         n = DEFAULT_ENUMERATION_CAP
