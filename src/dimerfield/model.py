@@ -12,9 +12,10 @@ the enumeration cap (at most 7.6e-19 a priori, 3.2e-21 or less measured),
 far below float64 rounding.  So the result is exact up to that reported
 bound.  Each cube's sums of e^t, D_A e^t, D_B e^t and D_AB e^t come from
 two 32 x 32 matrix products of the planes' exponentials, each scaled per
-D_AB column below the cube's plane bound; only the mixed fraction
-<D_AB/|D|> (``d_mix_finite``), and couplings J_AB too large for those
-factors to stay in float64 range, take a 3-D array of the cube's terms.
+D_AB column below the cube's plane bound, and the mixed fraction
+<D_AB/|D|> (``d_mix_finite``) weights the product of the same factors.
+When |J_AB| 15.5^2 / N exceeds about 162 nats the cubes are smaller, so
+that those factors keep every term that counts in float64 range.
 
 These routines are the oracle the variational and Gaussian-moment routes are
 verified against.

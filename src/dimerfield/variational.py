@@ -207,7 +207,8 @@ def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
     log y on the y equation less the x equation: the mixed term, which may
     nearly fill both populations, drops out, and the larger population keeps
     the rest at rounding.  An end that rounding puts on the wrong side is
-    the root.  RuntimeError when a hard-core residual ends at 1e-12 or more.
+    the root.  RuntimeError when a Newton step from the pair would move
+    log m_A or log m_B by more than 1e-10 (``_monomer_step``).
     """
     beta = 1.0 - alpha
     flip = alpha > beta
@@ -227,24 +228,40 @@ def _solve_monomers(w_a: float, w_b: float, w_ab: float, alpha: float):
     lo, hi = (math.log(root(w_y, 1.0 + w_ab * m_x, y)) for m_x in (x, 0.0))
     s = lo if excess(lo) >= 0.0 else hi if excess(hi) <= 0.0 else _bracketed_root(excess, lo, hi)
     m_y = min(math.exp(s), y)  # exp(log y) may round above y
-    m_x = x_of(m_y)
-    resid = max(
-        abs(m_x + w_x * m_x * m_x + w_ab * m_x * m_y - x),
-        abs(m_y + w_y * m_y * m_y + w_ab * m_x * m_y - y),
-    )
-    if not resid < 1e-12:
+    m_a, m_b = (m_y, x_of(m_y)) if flip else (x_of(m_y), m_y)
+    step = _monomer_step(w_a, w_b, w_ab, alpha, m_a, m_b)
+    if not step <= 1e-10:
         raise RuntimeError(
-            f"monomer solve did not converge (residual {resid:.3e}) for "
+            f"monomer solve did not converge (Newton step {step:.3e} in log m) for "
             f"activities {(w_a, w_b, w_ab)}, alpha={alpha}"
         )
-    return (m_y, m_x) if flip else (m_x, m_y)
+    return m_a, m_b
+
+
+def _monomer_step(w_a, w_b, w_ab, alpha, m_a, m_b) -> float:
+    """Largest |component| of the Newton step in (log m_A, log m_B) on
+    f_A = m_A + w_A m_A^2 + q - alpha and its B analogue, q = w_AB m_A m_B.
+
+    With p = m + 2 w m^2 the Jacobian in log m is [[p_A + q, q], [q, p_B + q]],
+    of determinant p_A p_B + q (p_A + p_B), and the step is formed from f_A,
+    f_B and f_A - f_B, the last written so that q, which may nearly fill both
+    populations, drops out.
+    """
+    beta = 1.0 - alpha
+    q = w_ab * m_a * m_b
+    own_a, own_b = m_a + w_a * m_a * m_a, m_b + w_b * m_b * m_b
+    f_a, f_b = own_a + q - alpha, own_b + q - beta
+    diff = own_a - own_b + (beta - alpha)
+    p_a, p_b = m_a + 2.0 * (w_a * m_a * m_a), m_b + 2.0 * (w_b * m_b * m_b)
+    det = p_a * p_b + q * (p_a + p_b)
+    return max(abs(p_b * f_a + q * diff), abs(p_a * f_b - q * diff)) / det
 
 
 def solve_zero_coupling(h, alpha: float) -> DimerDensities:
     """Unique solution of the fixed-point system at J = 0: one step of the
     self-consistency map from d = 0, whose activities w = exp(h) do not
-    depend on d.  The monomer densities solve their two equations with
-    residual below 1e-12.
+    depend on d.  The monomer densities are within a Newton step of 1e-10
+    in log m of the root of their two equations.
     """
     return DimerDensities(*_map(ModelParams(alpha, h), np.zeros(3)))
 

@@ -16,11 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from dimerfield import ModelParams, admissible_count, coexistence_field, critical_point, split_sizes
+from dimerfield import ModelParams, _kernels, admissible_count, coexistence_field, critical_point, split_sizes
 from dimerfield._kernels import (
     LOG2,
-    _SPAN_LIMIT,
-    _coupling_span,
+    _block,
     _cube_bounds,
     active_backend,
     partition_sums,
@@ -95,9 +94,8 @@ def plain_sums(n_a, n_b, log_n, inv_n, lgf, h, j):
 
 
 def assert_matches_plain_sum(n, params):
-    """Both paths of the kernel against the plain sum: the matrix sums
-    (``mix=False``, no mixed fraction) and the 3-D sum (``mix=True``).
-    Returns the 3-D path's output."""
+    """The kernel against the plain sum, without the mixed fraction
+    (``mix=False``) and with it.  Returns the output with it."""
     args = _kernel_args(n, params)
     ref = plain_sums(*args)
     total = admissible_count(split_sizes(n, params.alpha))
@@ -182,6 +180,18 @@ def test_means_match_extended_precision_sum(case, n):
         assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
 
+@pytest.mark.parametrize(
+    "n, j_ab, side", [(200, 172.5, 28), (300, 700.0, 17), (200, 2000.0, 9), (200, -2000.0, 9), (120, 2e4, 2)]
+)
+def test_cube_side_shrinks_with_the_coupling_span(n, j_ab, side):
+    # past the span limit at side 32 the cubes shrink; the quadratic form
+    # is negative definite, so the peak is inside and every mean is O(N)
+    s = abs(j_ab)
+    params = ModelParams(0.4, h=[s / 10, s / 12, 1.0], J=_symmetric([-2 * s, j_ab, 0.0, -2 * s, 0.0, 0.0]))
+    assert _block(1.0 / n, j_ab) == side
+    assert_matches_plain_sum(n, params)
+
+
 def assert_no_class_above_its_cube_bound(n, params):
     args = _kernel_args(n, params)
     j = args[6]
@@ -202,8 +212,10 @@ def assert_no_class_above_its_cube_bound(n, params):
     assert (covered == 1).all()
 
 
+# the smallest normal J_AB: the cube side rule must not divide by it
 @settings(max_examples=40)
 @given(alpha=st.floats(0.05, 0.95), n=st.integers(2, 200), h=fields, j=couplings)
+@example(alpha=0.5, n=200, h=[0.0, 0.0, 0.0], j=_symmetric([0.0, 2.2250738585072014e-308, 0.0, 0.0, 0.0, 0.0]))
 def test_no_class_above_its_cube_bound(alpha, n, h, j):
     assert_no_class_above_its_cube_bound(n, ModelParams(alpha=alpha, h=h, J=j))
 
@@ -241,18 +253,34 @@ def _stress_draws(count):
     return draws
 
 
-def test_matrix_sums_match_3d_sums_on_stress_draws():
+def _cube_sums_3d(a, b, c, plane_ac, plane_bc, inv_n, j_ab, mix):
+    """``_kernels._cube_sums_matrix`` from the 3-D array of the cube's terms,
+    each plane taken relative to its own maximum before it is rounded to
+    float64, and s the cube's largest term."""
+    plane_ab = inv_n * (j_ab * np.multiply.outer(a.astype(plane_ac.dtype), b))
+    tops = [plane.max() for plane in (plane_ac, plane_bc, plane_ab)]
+    ac, bc, ab = ((plane - top).astype(float) for plane, top in zip((plane_ac, plane_bc, plane_ab), tops))
+    t = ac[:, None, :] + bc[None, :, :] + ab[:, :, None]
+    e = np.exp(t - t.max())
+    share = c / np.maximum(np.add.outer(a, b)[:, :, None] + c, 1.0)
+    sums = (e.sum(), e.sum(axis=(1, 2)) @ a, e.sum(axis=(0, 2)) @ b, e.sum(axis=(0, 1)) @ c, (e * share).sum() * mix)
+    return float(t.max() + sum(tops)), np.array(sums)
+
+
+def test_matrix_sums_match_3d_sums_on_stress_draws(monkeypatch):
     draws = _stress_draws(130)
     # draw 56 (N = 400, J_AB = 144.5) underflowed to -inf when each plane
-    # was scaled by its own maximum, and takes the matrix sums; draw 129
-    # (N = 200, J_AB = 172.5) lies past the span limit, so both calls
-    # take the 3-D sum
-    for k, matrix_path in ((56, True), (129, False)):
+    # was scaled by its own maximum; draw 129 (N = 200, J_AB = 172.5) has
+    # a coupling span past the limit at side 32, so its cubes are smaller
+    for k, side in ((56, 32), (129, 28)):
         n, params = draws[k]
-        assert (_coupling_span(1.0 / n, params.j_sym[0, 1]) <= _SPAN_LIMIT) == matrix_path
+        assert _block(1.0 / n, params.j_sym[0, 1]) == side
     for k in [*range(60), 129]:
         args = _kernel_args(*draws[k])
-        matrix, full = partition_sums(*args), partition_sums(*args, mix=True)
+        matrix = partition_sums(*args, mix=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_cube_sums_matrix", _cube_sums_3d)
+            full = partition_sums(*args, mix=True)
         assert abs(matrix[0] - full[0]) <= 1e-13 * max(1.0, abs(full[0])), (k, matrix[0], full[0])
-        for got, want in zip(matrix[1:4], full[1:4]):
+        for got, want in zip(matrix[1:5], full[1:5]):
             assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)

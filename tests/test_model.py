@@ -17,9 +17,12 @@ from dimerfield import (
     ModelParams,
     PopulationSizes,
     admissible_count,
+    critical_point,
     d_mix_finite,
     gibbs_expected_densities,
     log_partition_exact,
+    maximize_psi,
+    mixed_dimer_fraction,
     pressure,
     split_sizes,
     solve_zero_coupling,
@@ -322,3 +325,23 @@ class TestMixedFraction:
             )
             v = d_mix_finite(int(rng.integers(2, 30)), params)
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("case", ["free", "reduced", "full_j"])
+    def test_approaches_the_variational_limit(self, case):
+        # N (d_mix_finite(N) - d*_AB / |d*|) settles to a constant (0.34,
+        # 0.86 and 0.52 here), so the finite sum tends to the fraction at
+        # the maximizer d* of psi with an O(1/N) correction
+        params = {
+            "free": lambda: ModelParams(0.5, h=[0.0, 0.0, -1.0]),
+            "reduced": lambda: ModelParams.reduced(0.3, -1.5, 0.6 * critical_point(0.3).j_c),
+            "full_j": lambda: ModelParams(
+                0.4, h=[0.2, -0.3, 0.1], J=[[-0.5, 0.2, 0.1], [0.2, -0.3, 0.4], [0.1, 0.4, -0.6]]
+            ),
+        }[case]()
+        ((d, _),) = maximize_psi(params)
+        if case == "reduced":
+            limit = mixed_dimer_fraction(d.d_ab, params.alpha)
+        else:
+            limit = d.d_ab / (d.d_a + d.d_b + d.d_ab)
+        scaled = [n * (d_mix_finite(n, params) - limit) for n in (500, 1000, 2000)]
+        assert max(scaled) < 1.01 * min(scaled) and min(scaled) > 0.0, scaled

@@ -25,7 +25,7 @@ from dimerfield import (
     solve_zero_coupling,
 )
 from dimerfield import variational
-from dimerfield.variational import _hess_psi, _solve_monomers
+from dimerfield.variational import _hess_psi, _monomer_step, _solve_monomers
 
 GOLDEN_M = (np.sqrt(5.0) - 1.0) / 4.0
 SYMMETRIC_D = DimerDensities(GOLDEN_M**2 / 2, GOLDEN_M**2 / 2, GOLDEN_M**2)
@@ -292,7 +292,20 @@ class TestSolveMonomers:
                 assert abs(m_a + w[0] * m_a * m_a + mixed - alpha) < 1e-12
                 assert abs(m_b + w[1] * m_b * m_b + mixed - (1.0 - alpha)) < 1e-12
                 worst = max(worst, newton_correction(w, alpha, m_a, m_b))
+                assert _monomer_step(*w, alpha, m_a, m_b) <= 1e-13
         assert worst < 1e-12
+
+    def test_newton_step_rejects_a_pair_decades_off(self):
+        # m_A = 5.6e-51 against the exact 6.3e-101, with the mixed term
+        # filling both populations: both residuals are 0 in float64, but
+        # the Newton step moves log m_A by about 1
+        m_a = 5.6e-51
+        m_b = 0.5 / (1e300 * m_a)
+        w = (0.0, 1e300, 1e300)
+        assert m_a + w[2] * m_a * m_b - 0.5 == 0.0
+        assert m_b + w[1] * m_b * m_b + w[2] * m_a * m_b - 0.5 == 0.0
+        assert _monomer_step(*w, 0.5, m_a, m_b) == pytest.approx(1.0, abs=1e-6)
+        assert _monomer_step(*w, 0.5, *_solve_monomers(*w, 0.5)) <= 1e-13
 
     @pytest.mark.parametrize(
         "w, alpha",
@@ -311,6 +324,7 @@ class TestSolveMonomers:
         # solve must still be accurate to rounding
         m_a, m_b = _solve_monomers(*w, alpha)
         assert newton_correction(w, alpha, m_a, m_b) < 1e-13
+        assert _monomer_step(*w, alpha, m_a, m_b) <= 1e-13
 
 
 class TestFixedPoint:
