@@ -7,8 +7,8 @@ No term of t depends on all three counts, so t is a sum of planes:
     t = P_A(D_A, D_AB) + P_B(D_B, D_AB) + C(D_AB) + J_AB D_A D_B / N,
 
 where P_x holds the terms of population x's dimers and monomers and C those
-of D_AB alone.  The kernel cuts count space into cubes of side B (see
-``_block`` below) and bounds each cube that meets the polytope by
+of D_AB alone.  The kernel cuts count space into cubes of side ``_BLOCK``
+and bounds each cube that meets the polytope by
 
     U = max over D_AB of [C + max over D_A of P_A + max over D_B of P_B]
         + max of J_AB D_A D_B / N over the box's four corners,
@@ -37,11 +37,13 @@ sum e^t, sum D_A e^t and sum D_B e^t; a second product with E_ac weighted
 by D_AB gives sum D_AB e^t, and the mixed fraction <D_AB/|D|> weights the
 product of the same three factors by D_AB/|D| (``_cube_sums_matrix``).  The
 coupling plane is centred on the box and each factor is scaled per D_AB
-column, so every product term is at most 1, and the cube side keeps every
-term that counts inside the float64 range (``_block``).  The cubes' sums
-join a streaming log-sum-exp whose reference is the largest plane bound s
-so far, not the largest U: at large J_AB the corner term makes U loose,
-and s can lie over 1,000 nats below it, where e^(s - U) would underflow.
+column, so every product term is at most 1.  At large |J_AB|/N the
+factors are formed on (D_A, D_B) tiles smaller than the cube, whose side
+keeps every term that counts inside the float64 range (``_block``); the
+cubes, their bounds and the pruning stay the same.  The cubes' sums join a
+streaming log-sum-exp whose reference is the largest plane bound s so far,
+not the largest U: at large J_AB the corner term makes U loose, and s can
+lie over 1,000 nats below it, where e^(s - U) would underflow.
 
 The planes are built in extended precision relative to the largest bound
 and each exponent is rounded to float64 once, so a term carries the
@@ -62,19 +64,21 @@ LOG2 = math.log(2.0)
 _BLOCK = 32
 _CUT = 60.0
 
-#: Largest coupling span on a cube, about 162 nats (see ``_block``).
+#: Largest coupling span on a tile, about 162 nats (see ``_block``).
 _SPAN_LIMIT = (-math.log(np.finfo(float).tiny) - _CUT) / 4
+#: beta_c of a tile column that no row admits (``_cube_sums_matrix``)
+_FLOOR = -np.finfo(float).max
 
 
 def _block(inv_n, j_ab):
-    """Cube side B: _BLOCK, or else the largest B whose coupling span
-    X = |J_AB| ((B - 1) / 2)^2 / N is within _SPAN_LIMIT.  On a cube |ab'|
-    <= X (``_cube_sums_matrix``), so its largest term is at least m - X, and
-    a term within _CUT of that has E_ac E_bc >= e^-(2X + _CUT) and E_ab >=
-    e^-2X: G holds it as at least e^-(4X + _CUT), a normal float64.  So no
-    term that counts underflows (one more than _CUT below its cube's largest
-    is below e^-_CUT Z).  The span at _BLOCK is tested by a product, as
-    _SPAN_LIMIT / jn overflows at a subnormal J_AB.
+    """Tile side B: _BLOCK, or else the largest B whose coupling span
+    X = |J_AB| ((B - 1) / 2)^2 / N is within _SPAN_LIMIT.  On every tile
+    |ab'| <= X (``_cube_sums_matrix``), so the cube's largest term is at
+    least m - X, and a term within _CUT of that has E_ac E_bc >=
+    e^-(2X + _CUT) and E_ab >= e^-2X: G holds it as at least e^-(4X + _CUT),
+    a normal float64.  So no term that counts underflows (one more than _CUT
+    below its cube's largest is below e^-_CUT Z).  The span at _BLOCK is
+    tested by a product, as _SPAN_LIMIT / jn overflows at a subnormal J_AB.
     """
     jn = abs(j_ab) * inv_n
     if jn * ((_BLOCK - 1) / 2) ** 2 <= _SPAN_LIMIT:
@@ -82,17 +86,17 @@ def _block(inv_n, j_ab):
     return 1 + int(2.0 * math.sqrt(_SPAN_LIMIT / jn))
 
 
-def _cube_boxes(n_a, n_b, side):
+def _cube_boxes(n_a, n_b):
     """Integer boxes [lo, hi] of the cubes that meet the polytope, in index order.
 
     A cube meets the polytope iff its lowest corner is admissible; ``hi`` is
     trimmed to the largest coordinate an admissible point of the cube reaches.
     """
     top = np.array([n_a // 2, n_b // 2, min(n_a, n_b)])
-    axes = [np.arange(0, t + 1, side) for t in top]
+    axes = [np.arange(0, t + 1, _BLOCK) for t in top]
     lo = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     lo = lo[(2 * lo[:, 0] + lo[:, 2] <= n_a) & (2 * lo[:, 1] + lo[:, 2] <= n_b)]
-    hi = np.minimum(lo + side - 1, top)
+    hi = np.minimum(lo + _BLOCK - 1, top)
     hi[:, 0] = np.minimum(hi[:, 0], (n_a - lo[:, 2]) // 2)
     hi[:, 1] = np.minimum(hi[:, 1], (n_b - lo[:, 2]) // 2)
     hi[:, 2] = np.minimum(hi[:, 2], np.minimum(n_a - 2 * lo[:, 0], n_b - 2 * lo[:, 1]))
@@ -124,19 +128,18 @@ def _cube_bounds(n_a, n_b, log_n, inv_n, lgf, h, j):
     module docstring).  A plane's maximum over a whole block of rows or
     columns is its maximum over the trimmed box, since the rows and columns
     trimmed off are inadmissible."""
-    side = _block(inv_n, j[0, 1])
-    lo, hi = _cube_boxes(n_a, n_b, side)
+    lo, hi = _cube_boxes(n_a, n_b)
     a, b = np.arange(n_a // 2 + 1), np.arange(n_b // 2 + 1)
     bound = np.empty(len(lo))
-    for c0 in range(0, min(n_a, n_b) + 1, side):
-        c = np.arange(c0, min(c0 + side, n_a + 1, n_b + 1))
+    for c0 in range(0, min(n_a, n_b) + 1, _BLOCK):
+        c = np.arange(c0, min(c0 + _BLOCK, n_a + 1, n_b + 1))
         plane_a = _population_plane(n_a, lgf, a, c, log_n, inv_n, h[0], j[0, 0], j[0, 2])
         plane_b = _population_plane(n_b, lgf, b, c, log_n, inv_n, h[1], j[1, 1], j[1, 2])
-        best_a = np.maximum.reduceat(plane_a, a[::side], axis=0)
-        best_b = np.maximum.reduceat(plane_b, b[::side], axis=0)
+        best_a = np.maximum.reduceat(plane_a, a[::_BLOCK], axis=0)
+        best_b = np.maximum.reduceat(plane_b, b[::_BLOCK], axis=0)
         mixed = _mixed_terms(n_a, n_b, lgf, c, log_n, inv_n, h[2], j[2, 2])
         cubes = lo[:, 2] == c0
-        ka, kb = (lo[cubes, :2] // side).T
+        ka, kb = (lo[cubes, :2] // _BLOCK).T
         bound[cubes] = (best_a[ka] + best_b[kb] + mixed).max(axis=1)
     corners = np.stack([lo[:, 0] * lo[:, 1], lo[:, 0] * hi[:, 1], hi[:, 0] * lo[:, 1], hi[:, 0] * hi[:, 1]])
     return lo, hi, bound + inv_n * (j[0, 1] * corners).max(axis=0)
@@ -155,47 +158,70 @@ def _cube_planes(n_a, n_b, log_n, inv_n, lgf, h, j, lo, hi, centre):
     return a, b, c, plane_ac, plane_bc, count
 
 
-def _cube_sums_matrix(a, b, c, plane_ac, plane_bc, inv_n, j_ab, mix):
-    """(s, sums) with sums = e^-s (sum e^t, sum D_A e^t, sum D_B e^t,
-    sum D_AB e^t, sum D_AB/|D| e^t) over the cube, from the cube's 2-D
-    factors; s bounds the cube's terms, and the last sum is 0 unless ``mix``.
+def _tiles(x, plane, side, axis):
+    """The box axis x, its offsets from the centre of its tile (the last
+    one's as if it were whole), the rows of plane, and the centres, shaped
+    to broadcast against the rows and a D_AB axis.  When x is longer than
+    ``side`` it is cut into tiles of ``side`` rows stacked on a new
+    ``axis``, the last tile padded with -inf rows past the box."""
+    if len(x) <= side:
+        centre = plane.dtype.type(x[0] + x[-1]) / 2
+        return x, x - centre, plane, centre
+    xs = (x[0] + np.arange(-(-len(x) // side) * side)).reshape(-1, side)
+    pad = np.full((xs.size - len(x), plane.shape[1]), -np.inf, plane.dtype)
+    plane = np.concatenate([plane, pad]).reshape(*xs.shape, -1)
+    centre = (xs[:, :1] + xs[:, -1:]).astype(plane.dtype) / 2
+    return (np.expand_dims(v, axis) for v in (xs, xs - centre, plane, centre[..., None]))
 
-    The coupling plane is centred at the box centre (a0, b0),
+
+def _cube_sums_matrix(a, b, c, plane_ac, plane_bc, inv_n, j_ab, side, mix):
+    """(s, sums) with sums = e^-s (sum e^t, sum D_A e^t, sum D_B e^t,
+    sum D_AB e^t, sum D_AB/|D| e^t) over the cube, from the 2-D factors of
+    its (D_A, D_B) tiles of side ``side`` (``_block``); s bounds the cube's
+    terms, and the last sum is 0 unless ``mix``.
+
+    On each tile the coupling plane is centred at the tile centre (a0, b0),
         J_AB a b / N = J_AB (a - a0)(b - b0) / N + J_AB b0 (a - a0) / N + J_AB a0 b / N,
     and the two linear parts join the (D_A, D_AB) and (D_B, D_AB) planes
     ac and bc, which leaves ab' = J_AB (a - a0)(b - b0) / N.  With alpha_c,
-    beta_c the column maxima of ac and bc, m = max_c (alpha_c + beta_c) and
-    s = m + max ab', the factors
+    beta_c the tile's column maxima of ac and bc, m = max (alpha_c + beta_c)
+    and s = m + max ab', both maxima over every tile and column, the factors
         E_ac = exp(ac + beta_c - m),  E_bc = exp(bc - beta_c),  E_ab = exp(ab' - max ab')
     are at most 1, and G = (E_ac E_bc^T) * E_ab holds e^(t - s) summed over
     D_AB, while ((E_ac * D_AB) E_bc^T) * E_ab holds D_AB e^(t - s).  The
     mixed sum is sum E_ac[a, c] E_bc[b, c] E_ab[a, b] c / max(a + b + c, 1),
     multiplied out in place in one (a, b, c) array.  Each exponent is formed
-    in extended precision and rounded to float64 once.
+    in extended precision and rounded to float64 once.  A box longer than
+    ``side`` has its tiles of D_A and of D_B stacked on two leading axes; a
+    tile column that no row admits gets a finite beta_c, so its E is 0.
     """
     wide = plane_ac.dtype.type
-    a0, b0 = wide(a[0] + a[-1]) / 2, wide(b[0] + b[-1]) / 2
-    x, y = a - a0, b - b0
+    a, x, plane_ac, a0 = _tiles(a, plane_ac, side, 1)
+    b, y, plane_bc, b0 = _tiles(b, plane_bc, side, 0)
     jn = wide(j_ab) * inv_n
-    ac = plane_ac + (jn * b0) * x[:, None]
-    bc = plane_bc + (jn * a0) * b[:, None]
-    ab = jn * np.multiply.outer(x, y)
-    beta = bc.max(axis=0)
-    m = (ac.max(axis=0) + beta).max()
+    ac = plane_ac + (jn * b0) * x[..., None]
+    bc = plane_bc + (jn * a0) * b[..., None]
+    ab = jn * (x[..., :, None] * y[..., None, :])
+    beta = bc.max(axis=-2, keepdims=True, initial=_FLOOR)
+    m = (ac.max(axis=-2, keepdims=True) + beta).max()
     ab_top = ab.max()
     e_ac = np.exp((ac + (beta - m)).astype(float))
-    e_bc = np.exp((bc - beta).astype(float)).T
+    e_bc = np.exp((bc - beta).astype(float)).swapaxes(-2, -1)
     e_ab = np.exp((ab - ab_top).astype(float))
     g = (e_ac @ e_bc) * e_ab
     g_c = ((e_ac * c) @ e_bc) * e_ab
-    sums = [g.sum(), g.sum(axis=1) @ a, g.sum(axis=0) @ b, g_c.sum(), 0.0]
+    mixed = 0.0
     if mix:
-        share = np.add.outer(a, b)[:, :, None] + c.astype(float)
+        share = (a[..., :, None, None] + b[..., None, :, None]) + c.astype(float)
         np.maximum(share, 1.0, out=share)
         np.divide(c, share, out=share)
-        for factor in (e_ab[:, :, None], e_ac[:, None, :], e_bc.T[None]):
+        for factor in (e_ab[..., None], e_ac[..., :, None, :], e_bc.swapaxes(-2, -1)[..., None, :, :]):
             share *= factor
-        sums[4] = share.sum()
+        mixed = share.sum()
+    if g.ndim > 2:  # the tiles' blocks laid out as one (D_A, D_B) matrix
+        g, g_c = (v.swapaxes(1, 2).reshape(a.size, b.size) for v in (g, g_c))
+        a, b = a.ravel(), b.ravel()
+    sums = (g.sum(), g.sum(axis=1) @ a, g.sum(axis=0) @ b, g_c.sum(), mixed)
     return float(m + ab_top), np.array(sums)
 
 
@@ -212,6 +238,7 @@ def partition_sums(n_a, n_b, log_n, inv_n, lgf, h, j, *, mix=False):
     of U (-inf when none is skipped).
     """
     lo, hi, bound = _cube_bounds(n_a, n_b, log_n, inv_n, lgf, h, j)
+    side = _block(inv_n, j[0, 1])
     order = np.argsort(-bound, kind="stable")
     # terms are summed relative to the largest bound, from extended-precision planes
     centre = bound[order[0]]
@@ -225,7 +252,7 @@ def partition_sums(n_a, n_b, log_n, inv_n, lgf, h, j, *, mix=False):
             stop = pos
             break
         a, b, c, plane_ac, plane_bc, count = _cube_planes(n_a, n_b, log_n, inv_n, lgf_wide, h, j, lo[k], hi[k], centre)
-        s, cube = _cube_sums_matrix(a, b, c, plane_ac, plane_bc, inv_n, j[0, 1], mix)
+        s, cube = _cube_sums_matrix(a, b, c, plane_ac, plane_bc, inv_n, j[0, 1], side, mix)
         if s > ref:
             sums *= math.exp(ref - s)
             ref = s

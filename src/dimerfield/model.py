@@ -14,8 +14,9 @@ bound.  Each cube's sums of e^t, D_A e^t, D_B e^t and D_AB e^t come from
 two 32 x 32 matrix products of the planes' exponentials, each scaled per
 D_AB column below the cube's plane bound, and the mixed fraction
 <D_AB/|D|> (``d_mix_finite``) weights the product of the same factors.
-When |J_AB| 15.5^2 / N exceeds about 162 nats the cubes are smaller, so
-that those factors keep every term that counts in float64 range.
+When |J_AB| 15.5^2 / N exceeds about 162 nats the factors are formed on
+smaller (D_A, D_B) tiles of each cube, so that they keep every term that
+counts in float64 range.
 
 These routines are the oracle the variational and Gaussian-moment routes are
 verified against.

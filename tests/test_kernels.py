@@ -9,6 +9,8 @@ against independent oracles in ``test_model.py``.
 """
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,13 +185,24 @@ def test_means_match_extended_precision_sum(case, n):
 @pytest.mark.parametrize(
     "n, j_ab, side", [(200, 172.5, 28), (300, 700.0, 17), (200, 2000.0, 9), (200, -2000.0, 9), (120, 2e4, 2)]
 )
-def test_cube_side_shrinks_with_the_coupling_span(n, j_ab, side):
-    # past the span limit at side 32 the cubes shrink; the quadratic form
-    # is negative definite, so the peak is inside and every mean is O(N)
-    s = abs(j_ab)
-    params = ModelParams(0.4, h=[s / 10, s / 12, 1.0], J=_symmetric([-2 * s, j_ab, 0.0, -2 * s, 0.0, 0.0]))
+def test_tile_side_shrinks_with_the_coupling_span(n, j_ab, side):
+    # past the span limit at side 32 each cube is summed in smaller tiles,
+    # the last of them cut short by the box; the quadratic form is negative
+    # definite, so the peak is inside and every mean is O(N)
     assert _block(1.0 / n, j_ab) == side
-    assert_matches_plain_sum(n, params)
+    assert_matches_plain_sum(n, _negative_definite(j_ab))
+
+
+# any tile side gives the same sums; the span limit only keeps them in range
+@given(alpha=st.floats(0.05, 0.95), n=st.integers(2, 300), h=fields, j=couplings, side=st.integers(1, 31))
+def test_any_tile_side_matches_plain_sum(alpha, n, h, j, side):
+    with mock.patch.object(_kernels, "_block", lambda inv_n, j_ab: side):
+        assert_matches_plain_sum(n, ModelParams(alpha=alpha, h=h, J=j))
+
+
+def _negative_definite(j_ab):
+    s = abs(j_ab)
+    return ModelParams(0.4, h=[s / 10, s / 12, 1.0], J=_symmetric([-2 * s, j_ab, 0.0, -2 * s, 0.0, 0.0]))
 
 
 def assert_no_class_above_its_cube_bound(n, params):
@@ -253,10 +266,10 @@ def _stress_draws(count):
     return draws
 
 
-def _cube_sums_3d(a, b, c, plane_ac, plane_bc, inv_n, j_ab, mix):
-    """``_kernels._cube_sums_matrix`` from the 3-D array of the cube's terms,
-    each plane taken relative to its own maximum before it is rounded to
-    float64, and s the cube's largest term."""
+def _cube_sums_3d(a, b, c, plane_ac, plane_bc, inv_n, j_ab, side, mix):
+    """``_kernels._cube_sums_matrix`` from the 3-D array of the whole cube's
+    terms, without tiles, each plane taken relative to its own maximum
+    before it is rounded to float64, and s the cube's largest term."""
     plane_ab = inv_n * (j_ab * np.multiply.outer(a.astype(plane_ac.dtype), b))
     tops = [plane.max() for plane in (plane_ac, plane_bc, plane_ab)]
     ac, bc, ab = ((plane - top).astype(float) for plane, top in zip((plane_ac, plane_bc, plane_ab), tops))
@@ -271,7 +284,7 @@ def test_matrix_sums_match_3d_sums_on_stress_draws(monkeypatch):
     draws = _stress_draws(130)
     # draw 56 (N = 400, J_AB = 144.5) underflowed to -inf when each plane
     # was scaled by its own maximum; draw 129 (N = 200, J_AB = 172.5) has
-    # a coupling span past the limit at side 32, so its cubes are smaller
+    # a coupling span past the limit at side 32, so its cubes are tiled
     for k, side in ((56, 32), (129, 28)):
         n, params = draws[k]
         assert _block(1.0 / n, params.j_sym[0, 1]) == side
@@ -284,3 +297,25 @@ def test_matrix_sums_match_3d_sums_on_stress_draws(monkeypatch):
         assert abs(matrix[0] - full[0]) <= 1e-13 * max(1.0, abs(full[0])), (k, matrix[0], full[0])
         for got, want in zip(matrix[1:5], full[1:5]):
             assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)
+
+
+def test_side_one_tiles_keep_memory_bounded(monkeypatch):
+    # at the cap with |J_AB| / N > 4 _SPAN_LIMIT the tiles are single
+    # classes: 1,024 to a cube, stacked in arrays of at most 32^3 entries
+    n, j_ab = 2000, -1.3e6
+    args = _kernel_args(n, _negative_definite(j_ab))
+    assert _block(1.0 / n, j_ab) == 1
+    tracemalloc.start()
+    try:
+        got = partition_sums(*args, mix=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    # the 3-D sum rounds planes that span up to 2.6e6 nats on a cube to
+    # float64, so it is a reference to about 1e-12 here
+    monkeypatch.setattr(_kernels, "_cube_sums_matrix", _cube_sums_3d)
+    want = partition_sums(*args, mix=True)
+    assert got[5:] == want[5:]
+    for g, w in zip(got[:5], want[:5]):
+        assert abs(g - w) <= 1e-10 * abs(w), (g, w)
