@@ -8,15 +8,17 @@ No term of t depends on all three counts, so t is a sum of planes:
 
 where P_x holds the terms of population x's dimers and monomers and C those
 of D_AB alone.  The kernel cuts count space into cubes of side ``_BLOCK``
-and bounds each cube that meets the polytope by
+and bounds each by
 
     U = max over D_AB of [C + max over D_A of P_A + max over D_B of P_B]
-        + max of J_AB D_A D_B / N over the box's four corners,
+        + J_AB D_A D_B / N at the box corner the sign of J_AB picks,
 
-each max taken over the cube's box.  U is the largest term of the cube when
-J_AB = 0, as on every reduced, coexistence and critical set, and bounds it
-otherwise.  The bounds are formed in float64, one D_AB block of planes at a
-time.
+each max taken over the cube's box; the corner is the far one (largest
+D_A and D_B) when J_AB >= 0, else the near one.  U is the largest term of
+the cube when J_AB = 0, as on every reduced, coexistence and critical set,
+and bounds it otherwise.  The bounds are formed in float64, one D_AB block
+of planes at a time, as a grid over the blocks; the cubes are the grid's
+finite cells, those whose box meets the polytope.
 
 The kernel visits the cubes in descending order of U and stops at the first
 cube whose U lies more than ``_CUT`` nats below the running log Z (the log
@@ -86,23 +88,6 @@ def _block(inv_n, j_ab):
     return 1 + int(2.0 * math.sqrt(_SPAN_LIMIT / jn))
 
 
-def _cube_boxes(n_a, n_b):
-    """Integer boxes [lo, hi] of the cubes that meet the polytope, in index order.
-
-    A cube meets the polytope iff its lowest corner is admissible; ``hi`` is
-    trimmed to the largest coordinate an admissible point of the cube reaches.
-    """
-    top = np.array([n_a // 2, n_b // 2, min(n_a, n_b)])
-    axes = [np.arange(0, t + 1, _BLOCK) for t in top]
-    lo = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    lo = lo[(2 * lo[:, 0] + lo[:, 2] <= n_a) & (2 * lo[:, 1] + lo[:, 2] <= n_b)]
-    hi = np.minimum(lo + _BLOCK - 1, top)
-    hi[:, 0] = np.minimum(hi[:, 0], (n_a - lo[:, 2]) // 2)
-    hi[:, 1] = np.minimum(hi[:, 1], (n_b - lo[:, 2]) // 2)
-    hi[:, 2] = np.minimum(hi[:, 2], np.minimum(n_a - 2 * lo[:, 0], n_b - 2 * lo[:, 1]))
-    return lo, hi
-
-
 def _population_plane(n_x, lgf, x, c, log_n, inv_n, h_x, j_xx, j_xc):
     """The terms of t that depend on one population's (D_x, D_AB), on the
     grid x (rows) by c (columns), -inf where the monomer count M_x < 0:
@@ -125,12 +110,14 @@ def _mixed_terms(n_a, n_b, lgf, c, log_n, inv_n, h_c, j_cc):
 
 def _cube_bounds(n_a, n_b, log_n, inv_n, lgf, h, j):
     """Boxes (lo, hi) of the cubes and the bound U of t on each (see the
-    module docstring).  A plane's maximum over a whole block of rows or
-    columns is its maximum over the trimmed box, since the rows and columns
-    trimmed off are inadmissible."""
-    lo, hi = _cube_boxes(n_a, n_b)
+    module docstring).  The cubes are the finite cells of the grid of block
+    bounds, in index order: a cell is finite exactly when its cube's lowest
+    corner is admissible.  ``hi`` is trimmed to the largest coordinate an
+    admissible point of the cube reaches; the rows and columns trimmed off
+    are inadmissible, so a plane's maximum over a whole block is its
+    maximum over the box."""
     a, b = np.arange(n_a // 2 + 1), np.arange(n_b // 2 + 1)
-    bound = np.empty(len(lo))
+    layers = []
     for c0 in range(0, min(n_a, n_b) + 1, _BLOCK):
         c = np.arange(c0, min(c0 + _BLOCK, n_a + 1, n_b + 1))
         plane_a = _population_plane(n_a, lgf, a, c, log_n, inv_n, h[0], j[0, 0], j[0, 2])
@@ -138,24 +125,16 @@ def _cube_bounds(n_a, n_b, log_n, inv_n, lgf, h, j):
         best_a = np.maximum.reduceat(plane_a, a[::_BLOCK], axis=0)
         best_b = np.maximum.reduceat(plane_b, b[::_BLOCK], axis=0)
         mixed = _mixed_terms(n_a, n_b, lgf, c, log_n, inv_n, h[2], j[2, 2])
-        cubes = lo[:, 2] == c0
-        ka, kb = (lo[cubes, :2] // _BLOCK).T
-        bound[cubes] = (best_a[ka] + best_b[kb] + mixed).max(axis=1)
-    corners = np.stack([lo[:, 0] * lo[:, 1], lo[:, 0] * hi[:, 1], hi[:, 0] * lo[:, 1], hi[:, 0] * hi[:, 1]])
-    return lo, hi, bound + inv_n * (j[0, 1] * corners).max(axis=0)
-
-
-def _cube_planes(n_a, n_b, log_n, inv_n, lgf, h, j, lo, hi, centre):
-    """Box axes of the cube [lo, hi], its (D_A, D_AB) and (D_B, D_AB) planes
-    in extended precision (-inf off the polytope), the first with the D_AB
-    terms less ``centre``, and the number of admissible classes."""
-    a, b, c = (np.arange(lo[k], hi[k] + 1) for k in range(3))
-    plane_ac = _population_plane(n_a, lgf, a, c, log_n, inv_n, h[0], j[0, 0], j[0, 2]) + (
-        _mixed_terms(n_a, n_b, lgf, c, log_n, inv_n, h[2], j[2, 2]) - centre
-    )
-    plane_bc = _population_plane(n_b, lgf, b, c, log_n, inv_n, h[1], j[1, 1], j[1, 2])
-    count = int((np.isfinite(plane_ac).sum(axis=0) * np.isfinite(plane_bc).sum(axis=0)).sum())
-    return a, b, c, plane_ac, plane_bc, count
+        layers.append((best_a[:, None] + best_b[None] + mixed).max(axis=-1))
+    grid = np.stack(layers, axis=-1)
+    cells = grid > -np.inf
+    lo = np.argwhere(cells) * _BLOCK
+    hi = np.minimum(lo + _BLOCK - 1, [n_a // 2, n_b // 2, min(n_a, n_b)])
+    hi[:, 0] = np.minimum(hi[:, 0], (n_a - lo[:, 2]) // 2)
+    hi[:, 1] = np.minimum(hi[:, 1], (n_b - lo[:, 2]) // 2)
+    hi[:, 2] = np.minimum(hi[:, 2], np.minimum(n_a - 2 * lo[:, 0], n_b - 2 * lo[:, 1]))
+    corner = hi if j[0, 1] >= 0 else lo
+    return lo, hi, grid[cells] + inv_n * (j[0, 1] * (corner[:, 0] * corner[:, 1]))
 
 
 def _tiles(x, plane, side, axis):
@@ -251,13 +230,17 @@ def partition_sums(n_a, n_b, log_n, inv_n, lgf, h, j, *, mix=False):
         if pos and bound[k] - centre < ref + math.log(sums[0]) - _CUT:
             stop = pos
             break
-        a, b, c, plane_ac, plane_bc, count = _cube_planes(n_a, n_b, log_n, inv_n, lgf_wide, h, j, lo[k], hi[k], centre)
+        a, b, c = map(np.arange, lo[k], hi[k] + 1)
+        plane_ac = _population_plane(n_a, lgf_wide, a, c, log_n, inv_n, h[0], j[0, 0], j[0, 2]) + (
+            _mixed_terms(n_a, n_b, lgf_wide, c, log_n, inv_n, h[2], j[2, 2]) - centre
+        )
+        plane_bc = _population_plane(n_b, lgf_wide, b, c, log_n, inv_n, h[1], j[1, 1], j[1, 2])
         s, cube = _cube_sums_matrix(a, b, c, plane_ac, plane_bc, inv_n, j[0, 1], side, mix)
         if s > ref:
             sums *= math.exp(ref - s)
             ref = s
         sums += math.exp(s - ref) * cube
-        visited += count
+        visited += int((np.isfinite(plane_ac).sum(axis=0) * np.isfinite(plane_bc).sum(axis=0)).sum())
     log_z = centre + ref + math.log(sums[0])
     skipped = order[stop:]
     volume = np.prod(hi[skipped] - lo[skipped] + 1, axis=1)

@@ -462,6 +462,9 @@ def _same_basin(params: ModelParams, a, b) -> bool:
 def _grid_starts(params: ModelParams) -> np.ndarray:
     """Up to _N_STARTS best grid points, each in its own patch of the grid."""
     da, db, dab, values = _psi_grid(params, _GRID_RES)
+    # a layer with no room on an axis repeats one point along it: keep one copy
+    values[da[:, -1] == 0, 1:] = -np.inf
+    values[db[:, -1] == 0, :, 1:] = -np.inf
     flat = values.ravel()
     k = min(40 * _N_STARTS, flat.size)
     top = np.argpartition(flat, -k)[-k:]

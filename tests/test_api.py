@@ -81,7 +81,7 @@ GAUSSIAN_REJECTED = {
     "n = 0": (lambda: gaussian.z_star(0, 0.5, [0.0, 0.0, -1.0]), "n must be a positive integer"),
     "n = 2.5": (lambda: gaussian.z_star(2.5, 0.5, [0.0, 0.0, -1.0]), "n must be a positive integer"),
     "n above the cap": (
-        lambda: gaussian.z_star(gaussian.MOMENT_CAP + 1, 0.5, [0.0, 0.0, -1.0]),
+        lambda: gaussian.z_via_gaussian(gaussian.MOMENT_CAP + 1, 0.5, [0.0, 0.0, -1.0]),
         "exceeds the moment cap",
     ),
 }

@@ -169,6 +169,21 @@ class TestZStar:
             lzs = z_star(n, 0.5, h).log_value
             assert abs(np.exp(lz - lzs) - 1.0) < 1e-3
 
+    @pytest.mark.parametrize(
+        "alpha, h", [(0.3, [-0.5, 0.2, -0.4]), (0.5, [0.0, 0.0, -1.0]), (0.7, [0.3, -1.0, -0.8])]
+    )
+    def test_one_over_n_remainder_at_large_n(self, alpha, h):
+        # log Z*_N = N p + c + c1/N + ..., with p the Laplace exponent's
+        # maximum, so N [(log Z*_N - N p) - (log Z*_2N - 2N p)] -> c1/2;
+        # it stays flat up to N = 5e5, far past the moment cap
+        p = laplace_maximum(alpha, weight_matrix(h)).value
+
+        def excess(n):
+            return z_star(n, alpha, h).log_value - n * p
+
+        half = [n * (excess(n) - excess(2 * n)) for n in (1_000, 10_000, 100_000, 500_000)]
+        assert max(half) - min(half) <= 0.01 * abs(half[0]), half
+
     def test_n2_difference_is_off_quadrant_mass(self):
         # Z_2 - Z_2* equals the signed integrand mass outside the quadrant,
         # computed here by brute-force Legendre tiles over the complement
@@ -371,6 +386,12 @@ class TestSuperadditivity:
                 h,
             )
             assert res.holds
+
+    def test_holds_at_large_n(self):
+        # z_star's cost does not grow with N, so no cap stops it here
+        res = superadditivity_check(400_000, 600_000, 0.5, [0.0, 0.0, -1.0])
+        assert res.holds
+        assert res.slack > 0.0
 
     def test_doubling_monotone(self):
         h, alpha = [0.0, 0.0, -1.0], 0.5

@@ -21,6 +21,7 @@ from scipy.special import gammaln
 from dimerfield import ModelParams, _kernels, admissible_count, coexistence_field, critical_point, split_sizes
 from dimerfield._kernels import (
     LOG2,
+    _BLOCK,
     _block,
     _cube_bounds,
     active_backend,
@@ -223,6 +224,35 @@ def assert_no_class_above_its_cube_bound(n, params):
             assert t[inside].max() >= bound[k] - slack
     # the boxes partition the admissible classes
     assert (covered == 1).all()
+
+
+def _reference_boxes(n_a, n_b):
+    """Boxes [lo, hi] of the cubes that meet the polytope, in index order,
+    from the full grid of cube corners: a cube meets the polytope iff its
+    lowest corner is admissible, and ``hi`` is trimmed to the largest
+    coordinate an admissible point of the cube reaches."""
+    top = np.array([n_a // 2, n_b // 2, min(n_a, n_b)])
+    axes = [np.arange(0, t + 1, _BLOCK) for t in top]
+    lo = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    lo = lo[(2 * lo[:, 0] + lo[:, 2] <= n_a) & (2 * lo[:, 1] + lo[:, 2] <= n_b)]
+    hi = np.minimum(lo + _BLOCK - 1, top)
+    hi[:, 0] = np.minimum(hi[:, 0], (n_a - lo[:, 2]) // 2)
+    hi[:, 1] = np.minimum(hi[:, 1], (n_b - lo[:, 2]) // 2)
+    hi[:, 2] = np.minimum(hi[:, 2], np.minimum(n_a - 2 * lo[:, 0], n_b - 2 * lo[:, 1]))
+    return lo, hi
+
+
+# no class is enumerated, so this reaches the enumeration cap
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.93])
+@pytest.mark.parametrize("n", [2, 3, 33, 64, 400, 2000])
+def test_cubes_are_the_boxes_that_meet_the_polytope(n, alpha):
+    params = ModelParams(alpha, h=[0.4, -0.3, 0.2], J=_symmetric([1.0, -2.0, 0.5, 3.0, -1.0, 2.0]))
+    args = _kernel_args(n, params)
+    lo, hi, bound = _cube_bounds(*args)
+    want_lo, want_hi = _reference_boxes(args[0], args[1])
+    np.testing.assert_array_equal(lo, want_lo)
+    np.testing.assert_array_equal(hi, want_hi)
+    assert np.isfinite(bound).all()
 
 
 # the smallest normal J_AB: the cube side rule must not divide by it

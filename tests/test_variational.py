@@ -401,6 +401,20 @@ class TestMaximizePsi:
         values = [v for _, v in results]
         assert abs(values[0] - values[1]) < 1e-9
 
+    @pytest.mark.parametrize("ratio", [8.81, 9.76, 10.0])
+    def test_two_maxima_on_the_paper_coexistence_line(self, ratio):
+        # at alpha = 0.5 the top grid layer d_AB = 1/2 leaves no room on
+        # either intra axis; its 4,096 copies of one point must not take
+        # every preselected slot from the maximum near d_AB = 0
+        from dimerfield import coexistence_field, critical_point
+
+        j = ratio * critical_point(0.5).j_c
+        results = maximize_psi(ModelParams.reduced(0.5, coexistence_field(0.5, j), j))
+        assert len(results) == 2
+        (low, v_low), (high, v_high) = sorted(results, key=lambda r: r[0].d_ab)
+        assert low.d_ab < 1e-9 < 0.499 < high.d_ab
+        assert abs(v_low - v_high) < 1e-9
+
     @pytest.mark.parametrize("alpha", [1e-3, 1e-2, 0.1, 0.3, 0.45])
     def test_one_maximizer_at_critical_point(self, alpha):
         # psi is flat to fourth order at d_c: a value tie cannot tell one
