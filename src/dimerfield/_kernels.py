@@ -129,7 +129,7 @@ def _cube_bounds(n_a, n_b, log_n, inv_n, lgf, h, j):
     grid = np.stack(layers, axis=-1)
     cells = grid > -np.inf
     lo = np.argwhere(cells) * _BLOCK
-    hi = np.minimum(lo + _BLOCK - 1, [n_a // 2, n_b // 2, min(n_a, n_b)])
+    hi = lo + _BLOCK - 1
     hi[:, 0] = np.minimum(hi[:, 0], (n_a - lo[:, 2]) // 2)
     hi[:, 1] = np.minimum(hi[:, 1], (n_b - lo[:, 2]) // 2)
     hi[:, 2] = np.minimum(hi[:, 2], np.minimum(n_a - 2 * lo[:, 0], n_b - 2 * lo[:, 1]))

@@ -71,6 +71,9 @@ _UNITS = {
     "check": "label",
     "stability": "label",
     "holds": "bool",
+    "fp_residual": "dimers/site",
+    "res_f1": "coupling",
+    "res_f0": "field",
     "res_d_c": "dimers/site",
     "res_j_c": "coupling",
     "res_h_c": "field",
@@ -342,51 +345,23 @@ def _run_gauss(cfg):
         raise ValueError(f"--trials must be >= 0, got {cfg.trials}")
     params = _model_params(cfg)
     gauss.weight_matrix(params.h)
+    columns = ("check", "n1", "n2", "lhs", "rhs", "delta", "holds")
     rows = []
     for n in cfg.n_grid:
         exact = model.log_partition_exact(n, params)
         quad = gauss.z_via_gaussian(n, params.alpha, params.h)
         star = gauss.z_star(n, params.alpha, params.h)
         delta = abs(exact - quad.log_value)
-        rows.append(
-            {
-                "check": "wick",
-                "n1": n,
-                "n2": 0,
-                "lhs": exact,
-                "rhs": quad.log_value,
-                "delta": delta,
-                "holds": bool(delta <= 1e-6 * max(1.0, abs(exact))),
-            }
-        )
-        rows.append(
-            {
-                "check": "ratio",
-                "n1": n,
-                "n2": 0,
-                "lhs": quad.log_value,
-                "rhs": star.log_value,
-                "delta": float(np.exp(quad.log_value - star.log_value)),
-                "holds": True,
-            }
-        )
+        rows.append(("wick", n, 0, exact, quad.log_value, delta, delta <= 1e-6 * max(1.0, abs(exact))))
+        ratio = float(np.exp(quad.log_value - star.log_value))
+        rows.append(("ratio", n, 0, quad.log_value, star.log_value, ratio, True))
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.trials):
         n1 = int(rng.integers(1, 41))
         n2 = int(rng.integers(1, 41))
         res = gauss.superadditivity_check(n1, n2, params.alpha, params.h)
-        rows.append(
-            {
-                "check": "superadd",
-                "n1": res.n1,
-                "n2": res.n2,
-                "lhs": res.lhs,
-                "rhs": res.rhs,
-                "delta": res.slack,
-                "holds": res.holds,
-            }
-        )
-    return rows, {}
+        rows.append(("superadd", res.n1, res.n2, res.lhs, res.rhs, res.slack, res.holds))
+    return [dict(zip(columns, row)) for row in rows], {}
 
 
 def _run_convergence(cfg):

@@ -27,7 +27,7 @@ in extended precision to certify the defining residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,6 +167,11 @@ def _edges(alpha, j, d_c):
     return edges, level
 
 
+def _root(alpha, j, h, lo, hi) -> float:
+    """The root of r(d) = f(d) - J d - h on [lo, hi], one monotone piece of r."""
+    return _bracketed_root(lambda d: _f_raw(d, alpha) - j * d - h, lo, hi)
+
+
 def critical_point(alpha: float) -> CriticalPoint:
     """Solve f''(d_c) = 0, then J_c = f'(d_c), h_c = f(d_c) - J_c d_c.
 
@@ -208,10 +213,6 @@ def solve_branches(rp: ReducedParams) -> list[BranchSolution]:
     """
     alpha, h, j = rp.alpha, rp.h, rp.j
     edges, level = _edges(alpha, j, _inflection(alpha))
-
-    def resid(d):
-        return _f_raw(d, alpha) - j * d - h
-
     r = [v - h for v in level]
     if r[0] > 0.0 or r[-1] < 0.0:
         raise RuntimeError(f"a root of f(d) = h + J d lies beyond reach for {rp}")
@@ -219,7 +220,7 @@ def solve_branches(rp: ReducedParams) -> list[BranchSolution]:
     for k in range(len(edges) - 1):
         rising = k % 2 == 0
         if (r[k] <= 0.0 <= r[k + 1]) if rising else (r[k + 1] < 0.0 < r[k]):
-            roots.append((_bracketed_root(resid, edges[k], edges[k + 1]), rising))
+            roots.append((_root(alpha, j, h, edges[k], edges[k + 1]), rising))
 
     values = psi1(np.array([d for d, _ in roots]), rp).tolist()
     best = max(v for v, (_, rising) in zip(values, roots) if rising)
@@ -237,7 +238,7 @@ def _upper_root(alpha, h, j, d_c) -> float:
     edges, level = _edges(alpha, j, d_c)
     if not (level[-2] <= h <= level[-1]):
         raise RuntimeError(f"the upper root at alpha={alpha}, h={h}, j={j} lies beyond reach")
-    return _bracketed_root(lambda d: _f_raw(d, alpha) - j * d - h, edges[-2], edges[-1])
+    return _root(alpha, j, h, edges[-2], edges[-1])
 
 
 def mixed_dimer_fraction(d: float, alpha: float) -> float:
@@ -322,10 +323,7 @@ def coexistence_field(alpha: float, j: float, cp: CriticalPoint | None = None) -
 
     def gap(h: float) -> float:
         # exactly 0 at an edge whose level is h, so that edge is the root
-        def resid(d):
-            return _f_raw(d, alpha) - j * d - h
-
-        lower, upper = _bracketed_root(resid, lo, d1), _bracketed_root(resid, d2, hi)
+        lower, upper = _root(alpha, j, h, lo, d1), _root(alpha, j, h, d2, hi)
         psi_lower, psi_upper = psi1(np.array([lower, upper]), ReducedParams(alpha, h, j))
         # the sign at an end of the window is known even where rounding hides it
         tie = psi_upper - psi_lower
@@ -390,7 +388,7 @@ class DmixScan:
     h_values: np.ndarray
     d_values: np.ndarray
     d_mix: np.ndarray
-    exponent: float = field(default=np.nan)
+    exponent: float
 
 
 def d_mix_scan(jprime: float, alphas) -> DmixScan:

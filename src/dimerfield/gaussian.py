@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .model import split_sizes
-from .params import _as_vector3, _check_alpha
+from .params import _as_vector3, _check_alpha, _is_integer
 from .variational import _bracketed_root
 
 #: Largest N that ``z_via_gaussian`` accepts: its Gauss-Hermite grid grows
@@ -74,10 +74,8 @@ def weight_matrix(h) -> DimerWeightMatrix:
         w = np.array([[np.exp(h_a), np.exp(h_ab)], [np.exp(h_ab), np.exp(h_b)]])
     if not np.all(np.isfinite(w)):
         raise ValueError(f"exp(h) overflows for h={h}")
-    det = float(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0])
-    mat = w.copy()
-    mat.setflags(write=False)
-    return DimerWeightMatrix(w=mat, det=det)
+    w.setflags(write=False)
+    return DimerWeightMatrix(w=w, det=float(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,10 +103,8 @@ def _signed_moment_gh(n_a: int, n_b: int, cov: np.ndarray, nodes: int) -> Gaussi
     times sum|term| / sum term."""
     chol = np.linalg.cholesky(cov)
     z, logw = _hermegauss(nodes)
-    xi_a = chol[0, 0] * z[:, None] + np.zeros_like(z)[None, :]
-    xi_b = chol[1, 0] * z[:, None] + chol[1, 1] * z[None, :]
-    base_a = 1.0 + xi_a
-    base_b = 1.0 + xi_b
+    base_a = (1.0 + chol[0, 0] * z)[:, None]
+    base_b = 1.0 + (chol[1, 0] * z[:, None] + chol[1, 1] * z[None, :])
     with np.errstate(divide="ignore"):
         t = (
             n_a * np.log(np.abs(base_a))
@@ -257,7 +253,7 @@ def z_star(n: int, alpha: float, h) -> GaussianEstimate:
     grid.
     """
     wm = weight_matrix(h)
-    if int(n) != n or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     alpha = _check_alpha(alpha)
     a = np.array([alpha * n, (1.0 - alpha) * n]) + 1.0
@@ -363,7 +359,7 @@ def mixing_lemma_checks(trials: int, seed: int = 0) -> MixingLemmaReport:
     x, y > -1, with equality exactly on x = y; checked pointwise on random
     sweeps plus forced equal pairs.
     """
-    if int(trials) != trials or trials < 1:
+    if not _is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
     rng = np.random.default_rng(seed)
     cov_err = 0.0

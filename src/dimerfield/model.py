@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ._kernels import partition_sums
-from .params import ModelParams, PopulationSizes, _check_alpha
+from .params import ModelParams, PopulationSizes, _check_alpha, _is_integer
 
 #: Largest N the class sum accepts; the tests check the pruned sum and its
 #: tail bound up to here.
@@ -46,7 +46,7 @@ def split_sizes(n: int, alpha: float) -> PopulationSizes:
     Rounds to the nearest integer and clamps so both populations keep at
     least one site; the realized fraction differs from alpha by O(1/N).
     """
-    if int(n) != n or n < 2:
+    if not _is_integer(n) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
     n = int(n)
     n_a = int(round(_check_alpha(alpha) * n))

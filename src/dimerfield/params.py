@@ -48,6 +48,16 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _is_integer(x) -> bool:
+    """True when x is a finite whole number; int() would raise on NaN and inf."""
+    return abs(x) < np.inf and int(x) == x
+
+
+def _monomers(d_a, d_b, d_ab, alpha):
+    """Monomer densities (m_A, m_B) of (d_A, d_B, d_AB); broadcasts."""
+    return alpha - 2.0 * d_a - d_ab, 1.0 - alpha - 2.0 * d_b - d_ab
+
+
 def quadratic_form(j, x, y, z):
     """d.J.d for d = (x, y, z) given by broadcastable components.
 
@@ -119,7 +129,7 @@ class PopulationSizes:
     def __post_init__(self):
         for name in ("n", "n_a", "n_b"):
             v = getattr(self, name)
-            if int(v) != v:
+            if not _is_integer(v):
                 raise ValueError(f"{name} must be an integer, got {v}")
             object.__setattr__(self, name, int(v))
         if self.n_a < 1 or self.n_b < 1:
@@ -146,13 +156,6 @@ class DimerDensities:
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.d_a, self.d_b, self.d_ab])
-
-    def monomers(self, alpha: float) -> tuple[float, float]:
-        """Monomer densities (m_A, m_B) for the ambient population split."""
-        return (
-            alpha - 2.0 * self.d_a - self.d_ab,
-            1.0 - alpha - 2.0 * self.d_b - self.d_ab,
-        )
 
 
 @dataclass(frozen=True)

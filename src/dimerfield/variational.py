@@ -31,10 +31,11 @@ activities use (J + J^T)/2 throughout, which keeps "stationary point" and
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .params import TIE_TOL, DimerDensities, ModelParams, quadratic_form
+from .params import TIE_TOL, DimerDensities, ModelParams, _monomers, quadratic_form
 
 _TINY = 1e-300
 #: Brent's tolerances and iteration cap (those of scipy's ``brentq`` with
@@ -107,8 +108,7 @@ def _xlogx_minus_x(arr):
 
 def _entropy_arrays(d_a, d_b, d_ab, alpha):
     """Vectorized s(d; alpha); inputs may hit the region boundary."""
-    m_a = np.maximum(alpha - 2.0 * d_a - d_ab, 0.0)
-    m_b = np.maximum(1.0 - alpha - 2.0 * d_b - d_ab, 0.0)
+    m_a, m_b = (np.maximum(m, 0.0) for m in _monomers(d_a, d_b, d_ab, alpha))
     lg = _xlogx_minus_x
     return (
         lg(np.asarray(alpha, dtype=float))
@@ -125,7 +125,7 @@ def _entropy_arrays(d_a, d_b, d_ab, alpha):
 def _require_in_region(d: DimerDensities, alpha: float) -> None:
     """Hard-core feasibility: 2 d_A + d_AB <= alpha and the B analogue, up
     to 1e-12 of rounding."""
-    m_a, m_b = d.monomers(alpha)
+    m_a, m_b = _monomers(d.d_a, d.d_b, d.d_ab, alpha)
     if not (m_a >= -1e-12 and m_b >= -1e-12):
         raise ValueError(
             f"densities {d} lie outside the hard-core region for alpha={alpha} "
@@ -146,14 +146,14 @@ def psi(d: DimerDensities, params: ModelParams) -> float:
 
 
 def grad_psi(d: DimerDensities, params: ModelParams) -> np.ndarray:
-    """Gradient of psi; defined on the interior only (it diverges at the
-    boundary like log of the vanishing coordinate)."""
+    """Gradient of psi on the interior, where every density and monomer
+    density is a normal double; it diverges like log of a vanishing one."""
     v = d.vector
     if not _is_interior(v, params.alpha):
-        m_a, m_b = d.monomers(params.alpha)
+        m_a, m_b = _monomers(d.d_a, d.d_b, d.d_ab, params.alpha)
         raise ValueError(
             f"grad_psi needs an interior point (all densities and monomer "
-            f"densities positive); got {d} with monomers ({m_a:.3e}, {m_b:.3e})"
+            f"densities normal and positive); got {d} with monomers ({m_a:.3e}, {m_b:.3e})"
         )
     return _grad(v, params.alpha, params.h, params.j_sym)
 
@@ -163,18 +163,14 @@ def _hess_psi(d: DimerDensities, params: ModelParams) -> np.ndarray:
     return _entropy_hessian(d.vector, params.alpha) + params.j_sym
 
 
-def _monomers(v, alpha):
-    return alpha - 2.0 * v[0] - v[2], 1.0 - alpha - 2.0 * v[1] - v[2]
-
-
-# ``free`` selects the density components that vary and must be positive.
+# ``free`` selects the components that vary; they and m_A, m_B must be normal doubles.
 def _is_interior(v, alpha, free=slice(None)) -> bool:
-    m_a, m_b = _monomers(v, alpha)
-    return min(m_a, m_b, *v[free]) > 0.0
+    m_a, m_b = _monomers(v[0], v[1], v[2], alpha)
+    return min(m_a, m_b, *v[free]) >= sys.float_info.min
 
 
 def _grad(v, alpha, h, j_sym, free=slice(None)) -> np.ndarray:
-    m_a, m_b = _monomers(v, alpha)
+    m_a, m_b = _monomers(v[0], v[1], v[2], alpha)
     pairs = np.array([m_a * m_a / 2.0, m_b * m_b / 2.0, m_a * m_b])
     return np.log(pairs[free] / v[free]) + h[free] + (j_sym @ v)[free]
 
@@ -182,7 +178,7 @@ def _grad(v, alpha, h, j_sym, free=slice(None)) -> np.ndarray:
 def _entropy_hessian(v, alpha, free=slice(None)) -> np.ndarray:
     """Hessian of s: each monomer density enters through -log m, so the
     d_A-d_B entry vanishes and d_AB couples to both monomer terms."""
-    m_a, m_b = _monomers(v, alpha)
+    m_a, m_b = _monomers(v[0], v[1], v[2], alpha)
     ia, ib = 1.0 / m_a, 1.0 / m_b
     hess = np.array(
         [
@@ -516,7 +512,7 @@ def maximize_psi(params: ModelParams) -> list[tuple[DimerDensities, float]]:
     candidates = []
     for p in starts:
         v = _map(params, p)
-        v[v < np.finfo(float).tiny] = 0.0
+        v[v < sys.float_info.min] = 0.0
         free = np.flatnonzero(v)
         if not _is_interior(v, alpha, free):
             raise RuntimeError(f"maximize_psi: the map step left no monomers at {v} for {params}")

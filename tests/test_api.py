@@ -68,6 +68,14 @@ PARAMS_REJECTED = {
     "J of shape (2, 2)": (lambda: dimerfield.ModelParams(0.3, J=np.eye(2)), "J must be a 3x3 matrix"),
     "J with inf": (lambda: dimerfield.ModelParams(0.3, J=np.diag([0.0, np.inf, 0.0])), "J must be finite"),
     "fractional n": (lambda: dimerfield.PopulationSizes(4.5, 2, 2.5), "n must be an integer"),
+    "infinite n": (lambda: dimerfield.PopulationSizes(np.inf, 1, 1), "n must be an integer"),
+    "NaN n_a": (lambda: dimerfield.PopulationSizes(4, np.nan, 2), "n_a must be an integer"),
+    "infinite n to split": (lambda: dimerfield.split_sizes(-np.inf, 0.5), "n must be an integer >= 2"),
+    "NaN n to split": (lambda: dimerfield.split_sizes(np.nan, 0.5), "n must be an integer >= 2"),
+    "infinite n to enumerate": (
+        lambda: dimerfield.log_partition_exact(np.inf, dimerfield.ModelParams(0.5)),
+        "n must be an integer >= 2",
+    ),
     "empty population": (lambda: dimerfield.PopulationSizes(4, 0, 4), "at least one site"),
     "sizes not summing": (lambda: dimerfield.PopulationSizes(4, 2, 3), "must equal n"),
     "negative density": (lambda: dimerfield.DimerDensities(-1e-3, 0.0, 0.0), "d_a must be finite and >= 0"),
@@ -80,6 +88,10 @@ PARAMS_REJECTED = {
 GAUSSIAN_REJECTED = {
     "n = 0": (lambda: gaussian.z_star(0, 0.5, [0.0, 0.0, -1.0]), "n must be a positive integer"),
     "n = 2.5": (lambda: gaussian.z_star(2.5, 0.5, [0.0, 0.0, -1.0]), "n must be a positive integer"),
+    "n = inf": (lambda: gaussian.z_star(np.inf, 0.5, [0.0, 0.0, -1.0]), "n must be a positive integer"),
+    "n = NaN": (lambda: gaussian.z_star(np.nan, 0.5, [0.0, 0.0, -1.0]), "n must be a positive integer"),
+    "trials = inf": (lambda: gaussian.mixing_lemma_checks(np.inf), "trials must be a positive integer"),
+    "trials = NaN": (lambda: gaussian.mixing_lemma_checks(np.nan), "trials must be a positive integer"),
     "n above the cap": (
         lambda: gaussian.z_via_gaussian(gaussian.MOMENT_CAP + 1, 0.5, [0.0, 0.0, -1.0]),
         "exceeds the moment cap",

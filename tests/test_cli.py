@@ -51,6 +51,26 @@ class TestExactCommand:
         assert lines[0].startswith("n [sites],log_z [nats],pressure_density [nats/site]")
         log_z = float(lines[1].split(",")[1])
         assert log_z == np.log(1.5)  # 17 significant digits round-trip exactly
+        # every column of these commands has its unit; the gauss header is
+        # also the order of the runner's column tuple
+        headers = {
+            ("pressure", "--alpha", "0.4", "--h=0.2,-0.5,-0.3"): (
+                "index [pure],d_a [dimers/site],d_b [dimers/site],d_ab [dimers/site],"
+                "psi [nats/site],grad_norm [pure],fp_residual [dimers/site],p [nats/site]"
+            ),
+            ("critical", "--alpha", "0.3"): (
+                "alpha [fraction],d_c [dimers/site],h_c [field],j_c [coupling],res_f2 [pure],"
+                "res_f1 [coupling],res_f0 [field],res_d_c [dimers/site],res_j_c [coupling],"
+                "res_h_c [field]"
+            ),
+            ("gauss", "--alpha", "0.4", "--n", "4", "--trials", "1"): (
+                "check [label],n1 [sites],n2 [sites],lhs [nats],rhs [nats],delta [nats],holds [bool]"
+            ),
+        }
+        for args, header in headers.items():
+            code, out = run_cli([*args, "--format", "csv"])
+            assert code == 0
+            assert out.splitlines()[0] == header
 
 
 class TestExponentCommand:

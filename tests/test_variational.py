@@ -25,6 +25,7 @@ from dimerfield import (
     solve_zero_coupling,
 )
 from dimerfield import variational
+from dimerfield.params import _monomers
 from dimerfield.variational import _hess_psi, _monomer_step, _solve_monomers
 
 GOLDEN_M = (np.sqrt(5.0) - 1.0) / 4.0
@@ -163,13 +164,18 @@ class TestGradPsi:
         h = np.array([0.0, 0.0, 0.7])
         params = ModelParams(alpha=alpha, h=h)
         d = random_interior(rng, alpha)
-        m_a, m_b = d.monomers(alpha)
+        m_a, m_b = _monomers(*d.vector, alpha)
         expected = np.log(m_a * m_b / d.d_ab) + h[2]
         assert grad_psi(d, params)[2] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_boundary(self):
         with pytest.raises(ValueError):
             grad_psi(DimerDensities(0.0, 0.01, 0.01), ModelParams(alpha=0.5))
+
+    def test_rejects_subnormal_density(self):
+        # 1/d overflows below the smallest normal double
+        with pytest.raises(ValueError, match="interior point"):
+            grad_psi(DimerDensities(0.01, 1e-310, 0.01), ModelParams(alpha=0.5))
 
 
 class TestHessPsi:
@@ -180,7 +186,7 @@ class TestHessPsi:
             params = random_params(rng, j_scale=3.0)
             d = random_interior(rng, params.alpha)
             hess = _hess_psi(d, params)
-            step = 1e-6 * min(*d.vector, *d.monomers(params.alpha))
+            step = 1e-6 * min(*d.vector, *_monomers(*d.vector, params.alpha))
             for i in range(3):
                 up = d.vector.copy()
                 dn = d.vector.copy()
@@ -210,7 +216,7 @@ class TestZeroCoupling:
         for alpha in (0.3, 0.5, 0.8):
             d = solve_zero_coupling([-50.0, -50.0, -50.0], alpha)
             assert np.abs(d.vector).max() < 1e-20
-            m_a, m_b = d.monomers(alpha)
+            m_a, m_b = _monomers(*d.vector, alpha)
             assert m_a == pytest.approx(alpha, rel=1e-12)
             assert m_b == pytest.approx(1 - alpha, rel=1e-12)
 
@@ -221,7 +227,7 @@ class TestZeroCoupling:
             h = rng.uniform(-3, 2, 3)
             d = solve_zero_coupling(h, alpha)
             w = np.exp(h)
-            m_a, m_b = d.monomers(alpha)
+            m_a, m_b = _monomers(*d.vector, alpha)
             sys_res = np.abs(
                 d.vector
                 - np.array(
@@ -458,6 +464,21 @@ class TestMaximizePsi:
         (point, _), = maximize_psi(ModelParams(0.4, h=[-800.0, 0.0, 0.0]))
         target = solve_zero_coupling([-800.0, 0.0, 0.0], 0.4).vector
         assert np.abs(point.vector - target).max() <= 1e-12
+
+    def test_subnormal_trial_step_raises_without_warning(self):
+        # draw 57 of the stress generator (numpy seed 20261019): a line
+        # search that accepts any positive density reaches d_B = 3e-311,
+        # where 1/d_B overflows and the scaled Hessian turns NaN; the "no
+        # ascent" error must come with no RuntimeWarning first
+        rng = np.random.default_rng(20261019)
+        for _ in range(58):
+            alpha = rng.uniform(0.05, 0.95)
+            h = [0.0 if rng.random() < 0.5 else rng.uniform(-900.0, 0.0) for _ in range(3)]
+            s = math.exp(rng.uniform(0.0, math.log(2000.0)))
+            J = rng.uniform(-s, s, size=(3, 3))
+        assert round(alpha, 4) == 0.3319 and round(h[0], 1) == -790.0
+        with pytest.raises(RuntimeError, match="no ascent step"):
+            maximize_psi(ModelParams(alpha, h, J))
 
     def test_unconverged_start_raises(self, monkeypatch):
         from dimerfield import critical_point
